@@ -16,7 +16,7 @@ pub struct Dense {
 }
 
 /// Cache from a dense forward pass, consumed by the backward pass.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DenseCache {
     x: Mat,
 }
@@ -94,7 +94,7 @@ impl Dense {
     }
 
     fn backward_parts(w: &Mat, dw: &mut Mat, db: &mut Mat, cache: &DenseCache, dy: &Mat) -> Mat {
-        dw.add_assign(&cache.x.t_matmul(dy));
+        cache.x.t_matmul_acc(dy, dw);
         db.add_assign(&dy.col_sums());
         dy.matmul_t(w)
     }

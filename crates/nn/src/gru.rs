@@ -273,7 +273,7 @@ impl GruLayer {
 
             // Parameter gradients. Wx and b see the full dp; Wh splits: the
             // r/z columns take h_prev, the n columns take rh.
-            self.wx.g.add_assign(&s.x.t_matmul(&dp));
+            s.x.t_matmul_acc(&dp, &mut self.wx.g);
             self.b.g.add_assign(&dp.col_sums());
             // Build the Wh gradient blockwise.
             let dp_rz = dp.col_slice(0, 2 * hsz);

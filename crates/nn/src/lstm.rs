@@ -25,34 +25,52 @@ pub struct LstmLayer {
     input: usize,
 }
 
-/// Per-timestep intermediate values needed by the backward pass.
-#[derive(Debug)]
+/// Per-timestep intermediate values needed by the backward pass. A step's
+/// `h`/`c` are the next step's `h_prev`/`c_prev`.
+#[derive(Debug, Clone, Default)]
 struct StepCache {
     x: Mat,
-    h_prev: Mat,
-    c_prev: Mat,
     i: Mat,
     f: Mat,
     g: Mat,
     o: Mat,
     c: Mat,
+    h: Mat,
 }
 
-/// Tape recorded by a forward pass over a sequence.
-#[derive(Debug)]
+/// Tape recorded by a forward pass over a sequence. Recording into a tape
+/// that already holds steps reuses their buffers, so a trainer that keeps
+/// one tape per layer allocates nothing per step once warm.
+#[derive(Debug, Clone, Default)]
 pub struct LstmTape {
     steps: Vec<StepCache>,
+    len: usize,
+    /// `[batch, hidden]` zeros: the `h_prev`/`c_prev` of step 0.
+    zeros: Mat,
 }
 
 impl LstmTape {
     /// Number of recorded timesteps.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.len
     }
 
     /// True when no steps were recorded.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.len == 0
+    }
+
+    /// Per-step hidden outputs of the recorded pass.
+    pub fn hs(&self) -> impl ExactSizeIterator<Item = &Mat> {
+        self.steps[..self.len].iter().map(|s| &s.h)
+    }
+
+    /// `(h_prev, c_prev)` of step `t`.
+    fn prev(&self, t: usize) -> (&Mat, &Mat) {
+        match t {
+            0 => (&self.zeros, &self.zeros),
+            _ => (&self.steps[t - 1].h, &self.steps[t - 1].c),
+        }
     }
 }
 
@@ -82,13 +100,18 @@ impl LstmState {
 }
 
 /// Reusable scratch for one LSTM layer: the fused `[B, 4H]` gate
-/// pre-activation buffer. Holding one of these across timesteps removes
-/// every per-step allocation from the inference path; the training path
-/// reuses it for the pre-activations and only allocates the tape mats that
-/// BPTT genuinely has to keep.
+/// pre-activation buffer, plus the BPTT buffers of the training path.
+/// Holding one of these across timesteps removes every per-step
+/// allocation from the inference path and from the backward pass.
 #[derive(Debug, Clone, Default)]
 pub struct LstmScratch {
     pre: Mat,
+    /// Gate pre-activation gradients `[B, 4H]` in i|f|g|o order.
+    dp: Mat,
+    /// Gradient flowing into the previous step's hidden output.
+    dh_next: Mat,
+    /// Gradient flowing into the previous step's cell state.
+    dc_next: Mat,
 }
 
 impl LstmScratch {
@@ -193,76 +216,63 @@ impl LstmLayer {
         self.step_into(x, state, &mut ws);
     }
 
-    /// Shared gate math for the training path. Returns
-    /// (i, f, g, o, c_new, h_new); pre-activations go through `ws`.
-    #[allow(clippy::type_complexity)]
-    fn gates_with(
+    /// Forward over a full sequence starting from a zero state, recording
+    /// every step into `tape` (whose buffers are reused) and using `ws`
+    /// for the gate pre-activations. The per-step hidden outputs are
+    /// [`LstmTape::hs`].
+    pub fn forward_seq_into<'a>(
         &self,
-        x: &Mat,
-        h_prev: &Mat,
-        c_prev: &Mat,
+        xs: impl ExactSizeIterator<Item = &'a Mat>,
         ws: &mut LstmScratch,
-    ) -> (Mat, Mat, Mat, Mat, Mat, Mat) {
-        let batch = x.rows();
+        tape: &mut LstmTape,
+    ) {
+        assert!(xs.len() > 0);
         let hsz = self.hidden;
-        self.preactivations(x, h_prev, ws);
-
-        let mut i = Mat::zeros(batch, hsz);
-        let mut f = Mat::zeros(batch, hsz);
-        let mut g = Mat::zeros(batch, hsz);
-        let mut o = Mat::zeros(batch, hsz);
-        let mut c = Mat::zeros(batch, hsz);
-        let mut h = Mat::zeros(batch, hsz);
-        debug_assert_eq!(hsz, c_prev.cols());
-        for r in 0..batch {
-            // Same fused kernel math as `step_into`, so the tape path and
-            // the scratch path agree bitwise under every backend.
-            crate::simd::lstm_gates_train(
-                ws.pre.row(r),
-                c_prev.row(r),
-                i.row_mut(r),
-                f.row_mut(r),
-                g.row_mut(r),
-                o.row_mut(r),
-                c.row_mut(r),
-                h.row_mut(r),
-            );
+        if tape.steps.len() < xs.len() {
+            tape.steps.resize_with(xs.len(), StepCache::default);
         }
-        (i, f, g, o, c, h)
+        tape.len = xs.len();
+        for (t, x) in xs.enumerate() {
+            let batch = x.rows();
+            if t == 0 {
+                tape.zeros.reset(batch, hsz);
+            }
+            let (done, rest) = tape.steps.split_at_mut(t);
+            let (h_prev, c_prev) = match done.last() {
+                Some(p) => (&p.h, &p.c),
+                None => (&tape.zeros, &tape.zeros),
+            };
+            self.preactivations(x, h_prev, ws);
+            let s = &mut rest[0];
+            s.x.copy_from(x);
+            for m in [&mut s.i, &mut s.f, &mut s.g, &mut s.o, &mut s.c, &mut s.h] {
+                if m.shape() != (batch, hsz) {
+                    m.reset(batch, hsz);
+                }
+            }
+            for r in 0..batch {
+                // Same fused kernel math as `step_into`, so the tape path
+                // and the scratch path agree bitwise under every backend.
+                crate::simd::lstm_gates_train(
+                    ws.pre.row(r),
+                    c_prev.row(r),
+                    s.i.row_mut(r),
+                    s.f.row_mut(r),
+                    s.g.row_mut(r),
+                    s.o.row_mut(r),
+                    s.c.row_mut(r),
+                    s.h.row_mut(r),
+                );
+            }
+        }
     }
 
-    /// Forward over a full sequence starting from a zero state, reusing a
-    /// caller-held scratch for the gate pre-activations.
+    /// Forward over a full sequence with a throwaway scratch and tape.
     /// Returns the per-step hidden outputs and the tape for backprop.
-    pub fn forward_seq_ws(&self, xs: &[Mat], ws: &mut LstmScratch) -> (Vec<Mat>, LstmTape) {
-        assert!(!xs.is_empty());
-        let batch = xs[0].rows();
-        let mut state = LstmState::zeros(batch, self.hidden);
-        let mut hs = Vec::with_capacity(xs.len());
-        let mut steps = Vec::with_capacity(xs.len());
-        for x in xs {
-            let (i, f, g, o, c, h) = self.gates_with(x, &state.h, &state.c, ws);
-            steps.push(StepCache {
-                x: x.clone(),
-                h_prev: state.h.clone(),
-                c_prev: state.c.clone(),
-                i,
-                f,
-                g,
-                o,
-                c: c.clone(),
-            });
-            state.c = c;
-            state.h = h.clone();
-            hs.push(h);
-        }
-        (hs, LstmTape { steps })
-    }
-
-    /// Forward over a full sequence with a throwaway scratch.
     pub fn forward_seq(&self, xs: &[Mat]) -> (Vec<Mat>, LstmTape) {
-        let mut ws = LstmScratch::new();
-        self.forward_seq_ws(xs, &mut ws)
+        let mut tape = LstmTape::default();
+        self.forward_seq_into(xs.iter(), &mut LstmScratch::new(), &mut tape);
+        (tape.hs().cloned().collect(), tape)
     }
 
     /// Inference over a sequence: only the final hidden output.
@@ -280,29 +290,44 @@ impl LstmLayer {
     /// the step-`t` hidden output (zero matrices for steps without loss).
     /// Accumulates parameter gradients and returns `dxs` per step.
     pub fn backward_seq(&mut self, tape: &LstmTape, dhs: &[Mat]) -> Vec<Mat> {
+        let mut dxs = Vec::new();
         Self::backward_seq_parts(
             self.hidden,
             &self.wx.w,
             &self.wh.w,
-            &mut self.wx.g,
-            &mut self.wh.g,
-            &mut self.b.g,
+            [&mut self.wx.g, &mut self.wh.g, &mut self.b.g],
             tape,
             dhs,
-        )
+            &mut LstmScratch::new(),
+            Some(&mut dxs),
+        );
+        dxs
     }
 
-    /// BPTT into caller-held gradient buffers (`&self`): the data-parallel
-    /// trainer's per-shard path. Buffer shapes must match `wx`/`wh`/`b`.
+    /// BPTT into caller-held gradient buffers `[dwx, dwh, db]` (`&self`):
+    /// the data-parallel trainer's per-shard path. Buffer shapes must
+    /// match `wx`/`wh`/`b`. The per-step input gradients go into `dxs`
+    /// (resized to the tape length, buffers reused); pass `None` when the
+    /// caller would discard them and their `dp · Wxᵀ` products are
+    /// skipped.
     pub fn backward_seq_into(
         &self,
         tape: &LstmTape,
         dhs: &[Mat],
-        dwx: &mut Mat,
-        dwh: &mut Mat,
-        db: &mut Mat,
-    ) -> Vec<Mat> {
-        Self::backward_seq_parts(self.hidden, &self.wx.w, &self.wh.w, dwx, dwh, db, tape, dhs)
+        grads: [&mut Mat; 3],
+        ws: &mut LstmScratch,
+        dxs: Option<&mut Vec<Mat>>,
+    ) {
+        Self::backward_seq_parts(
+            self.hidden,
+            &self.wx.w,
+            &self.wh.w,
+            grads,
+            tape,
+            dhs,
+            ws,
+            dxs,
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -310,63 +335,75 @@ impl LstmLayer {
         hsz: usize,
         wx: &Mat,
         wh: &Mat,
-        dwx: &mut Mat,
-        dwh: &mut Mat,
-        db: &mut Mat,
+        [dwx, dwh, db]: [&mut Mat; 3],
         tape: &LstmTape,
         dhs: &[Mat],
-    ) -> Vec<Mat> {
-        assert_eq!(tape.steps.len(), dhs.len());
-        let t_len = tape.steps.len();
+        ws: &mut LstmScratch,
+        mut dxs: Option<&mut Vec<Mat>>,
+    ) {
+        let t_len = tape.len();
+        assert_eq!(t_len, dhs.len());
         let batch = tape.steps[0].x.rows();
-
-        let mut dh_next = Mat::zeros(batch, hsz);
-        let mut dc_next = Mat::zeros(batch, hsz);
-        let mut dxs = vec![Mat::zeros(0, 0); t_len];
+        if let Some(dxs) = dxs.as_deref_mut() {
+            dxs.resize_with(t_len, Mat::default);
+        }
+        let LstmScratch {
+            dp,
+            dh_next,
+            dc_next,
+            ..
+        } = ws;
+        dh_next.reset(batch, hsz);
+        dc_next.reset(batch, hsz);
+        if dp.shape() != (batch, 4 * hsz) {
+            dp.reset(batch, 4 * hsz);
+        }
 
         for t in (0..t_len).rev() {
             let s = &tape.steps[t];
-            let mut dh = dhs[t].clone();
-            dh.add_assign(&dh_next);
+            let (h_prev, c_prev) = tape.prev(t);
 
-            // dP holds gate pre-activation gradients [B, 4H] in i|f|g|o order.
-            let mut dp = Mat::zeros(batch, 4 * hsz);
-            let mut dc_prev = Mat::zeros(batch, hsz);
+            // dP holds gate pre-activation gradients [B, 4H] in i|f|g|o
+            // order; dc_next is updated in place to this step's dc_prev.
             for r in 0..batch {
+                let (c, o) = (&s.c.row(r)[..hsz], &s.o.row(r)[..hsz]);
+                let (i, f, g) = (&s.i.row(r)[..hsz], &s.f.row(r)[..hsz], &s.g.row(r)[..hsz]);
+                let cp = &c_prev.row(r)[..hsz];
+                let (dh_in, dhn) = (&dhs[t].row(r)[..hsz], &dh_next.row(r)[..hsz]);
+                let dcn = &mut dc_next.row_mut(r)[..hsz];
+                let (dpi, rest) = dp.row_mut(r).split_at_mut(hsz);
+                let (dpf, rest) = rest.split_at_mut(hsz);
+                let (dpg, dpo) = rest.split_at_mut(hsz);
                 for k in 0..hsz {
-                    let c = s.c.row(r)[k];
-                    let tc = c.tanh();
-                    let o = s.o.row(r)[k];
-                    let i = s.i.row(r)[k];
-                    let f = s.f.row(r)[k];
-                    let g = s.g.row(r)[k];
-                    let dh_v = dh.row(r)[k];
+                    let tc = c[k].tanh();
+                    let dh_v = dh_in[k] + dhn[k];
 
                     let do_v = dh_v * tc;
-                    let dc = dc_next.row(r)[k] + dh_v * o * dtanh_from_out(tc);
+                    let dc = dcn[k] + dh_v * o[k] * dtanh_from_out(tc);
 
-                    let di = dc * g;
-                    let df = dc * s.c_prev.row(r)[k];
-                    let dg = dc * i;
-                    dc_prev.row_mut(r)[k] = dc * f;
+                    let di = dc * g[k];
+                    let df = dc * cp[k];
+                    let dg = dc * i[k];
+                    dcn[k] = dc * f[k];
 
-                    let row = dp.row_mut(r);
-                    row[k] = di * dsigmoid_from_out(i);
-                    row[hsz + k] = df * dsigmoid_from_out(f);
-                    row[2 * hsz + k] = dg * dtanh_from_out(g);
-                    row[3 * hsz + k] = do_v * dsigmoid_from_out(o);
+                    dpi[k] = di * dsigmoid_from_out(i[k]);
+                    dpf[k] = df * dsigmoid_from_out(f[k]);
+                    dpg[k] = dg * dtanh_from_out(g[k]);
+                    dpo[k] = do_v * dsigmoid_from_out(o[k]);
                 }
             }
 
-            dwx.add_assign(&s.x.t_matmul(&dp));
-            dwh.add_assign(&s.h_prev.t_matmul(&dp));
+            s.x.t_matmul_acc(dp, dwx);
+            h_prev.t_matmul_acc(dp, dwh);
             db.add_assign(&dp.col_sums());
 
-            dxs[t] = dp.matmul_t(wx);
-            dh_next = dp.matmul_t(wh);
-            dc_next = dc_prev;
+            if let Some(dxs) = dxs.as_deref_mut() {
+                dp.matmul_t_into(wx, &mut dxs[t]);
+            }
+            if t > 0 {
+                dp.matmul_t_into(wh, dh_next);
+            }
         }
-        dxs
     }
 
     /// Parameters in deterministic order.
@@ -380,8 +417,89 @@ impl LstmLayer {
     }
 }
 
+/// Test-only reference for bitwise checks: the weight-gradient product as
+/// a plain zero-skipping loop, and BPTT written with per-step temporaries
+/// and element indexing.
 #[cfg(test)]
-mod tests {
+pub(crate) mod reference {
+    use super::*;
+
+    /// `Aᵀ @ B` by the original zero-skipping k-ascending loop.
+    pub(crate) fn t_matmul(a: &Mat, b: &Mat) -> Mat {
+        let (k, m, n) = (a.rows(), a.cols(), b.cols());
+        let mut out = Mat::zeros(m, n);
+        for kk in 0..k {
+            let a_row = &a.data()[kk * m..(kk + 1) * m];
+            let b_row = &b.data()[kk * n..(kk + 1) * n];
+            for (i, &av) in a_row.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out.data_mut()[i * n..(i + 1) * n];
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// BPTT over a recorded tape with per-step temporaries, element
+    /// indexing and `dW += t_matmul(..)`.
+    pub(crate) fn backward_seq(
+        layer: &LstmLayer,
+        tape: &LstmTape,
+        dhs: &[Mat],
+        [dwx, dwh, db]: [&mut Mat; 3],
+    ) -> Vec<Mat> {
+        let hsz = layer.hidden;
+        let t_len = tape.len();
+        let batch = tape.steps[0].x.rows();
+        let mut dh_next = Mat::zeros(batch, hsz);
+        let mut dc_next = Mat::zeros(batch, hsz);
+        let mut dxs = vec![Mat::zeros(0, 0); t_len];
+        for t in (0..t_len).rev() {
+            let s = &tape.steps[t];
+            let (h_prev, c_prev) = tape.prev(t);
+            let mut dh = dhs[t].clone();
+            dh.add_assign(&dh_next);
+            let mut dp = Mat::zeros(batch, 4 * hsz);
+            let mut dc_prev = Mat::zeros(batch, hsz);
+            for r in 0..batch {
+                for k in 0..hsz {
+                    let c = s.c.row(r)[k];
+                    let tc = c.tanh();
+                    let o = s.o.row(r)[k];
+                    let i = s.i.row(r)[k];
+                    let f = s.f.row(r)[k];
+                    let g = s.g.row(r)[k];
+                    let dh_v = dh.row(r)[k];
+                    let do_v = dh_v * tc;
+                    let dc = dc_next.row(r)[k] + dh_v * o * dtanh_from_out(tc);
+                    let di = dc * g;
+                    let df = dc * c_prev.row(r)[k];
+                    let dg = dc * i;
+                    dc_prev.row_mut(r)[k] = dc * f;
+                    let row = dp.row_mut(r);
+                    row[k] = di * dsigmoid_from_out(i);
+                    row[hsz + k] = df * dsigmoid_from_out(f);
+                    row[2 * hsz + k] = dg * dtanh_from_out(g);
+                    row[3 * hsz + k] = do_v * dsigmoid_from_out(o);
+                }
+            }
+            dwx.add_assign(&t_matmul(&s.x, &dp));
+            dwh.add_assign(&t_matmul(h_prev, &dp));
+            db.add_assign(&dp.col_sums());
+            dxs[t] = dp.matmul_t(&layer.wx.w);
+            dh_next = dp.matmul_t(&layer.wh.w);
+            dc_next = dc_prev;
+        }
+        dxs
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
 
     /// Scalar loss used for gradient checking: L = 0.5 * sum over all steps
@@ -391,7 +509,7 @@ mod tests {
         hs.iter().map(|h| h.sq_norm()).sum::<f64>() * 0.5
     }
 
-    fn rand_mat(rows: usize, cols: usize, rng: &mut Xoshiro256pp) -> Mat {
+    pub(crate) fn rand_mat(rows: usize, cols: usize, rng: &mut Xoshiro256pp) -> Mat {
         Mat::from_fn(rows, cols, |_, _| rng.f32() - 0.5)
     }
 
@@ -533,5 +651,107 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(diff > 1e-3, "cell forgot the early signal entirely: {diff}");
+    }
+
+    /// Phase-2-like input rows: one hot column plus a value in column 0.
+    pub(crate) fn one_hot_mat(batch: usize, input: usize) -> Mat {
+        Mat::from_fn(batch, input, |r, c| match c {
+            0 => 0.5,
+            c if c == (r * 7 + 3) % input => 1.0,
+            _ => 0.0,
+        })
+    }
+
+    pub(crate) fn bits(m: &Mat) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Run the named test of this binary again in a child process pinned to
+    /// the scalar backend (`DESH_SIMD=off`), unless this process already
+    /// is. Switching the process-wide backend in place would race the
+    /// other unit tests that compare two computations bitwise.
+    pub(crate) fn rerun_on_scalar_backend(test: &str) {
+        if std::env::var("DESH_SIMD").as_deref() == Ok("off") {
+            return;
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args([test, "--exact"])
+            .env("DESH_SIMD", "off")
+            .output()
+            .expect("run the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("test result: ok. 1 passed"),
+            "{test} on the scalar backend:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    /// The fused backward pass gives bitwise the gradients of the
+    /// reference formulas, on dense and one-hot inputs, at the trainer's
+    /// shard shapes, into non-zero accumulators, and with its scratch and
+    /// tape reused across batches of different sizes: on the native
+    /// backend here, and on the scalar backend in a child process.
+    #[test]
+    fn backward_bit_identical_to_reference_formulas() {
+        rerun_on_scalar_backend("lstm::tests::backward_bit_identical_to_reference_formulas");
+        let mut rng = Xoshiro256pp::seed_from_u64(8);
+        let mut ws = LstmScratch::new();
+        let mut tape = LstmTape::default();
+        let mut dxs = Vec::new();
+        for &(input, hidden, batch, t_len, one_hot) in &[
+            (52usize, 64usize, 4usize, 5usize, true),
+            (16, 48, 8, 8, false),
+            (52, 64, 8, 5, true),
+            (3, 5, 1, 3, false),
+            (16, 48, 3, 6, false),
+        ] {
+            let layer = LstmLayer::new(input, hidden, "l", &mut rng);
+            let xs: Vec<Mat> = (0..t_len)
+                .map(|_| match one_hot {
+                    true => one_hot_mat(batch, input),
+                    false => rand_mat(batch, input, &mut rng),
+                })
+                .collect();
+            let dhs: Vec<Mat> = (0..t_len)
+                .map(|_| rand_mat(batch, hidden, &mut rng))
+                .collect();
+            let acc: Vec<Mat> = layer
+                .params()
+                .iter()
+                .map(|p| rand_mat(p.w.rows(), p.w.cols(), &mut rng))
+                .collect();
+
+            layer.forward_seq_into(xs.iter(), &mut ws, &mut tape);
+            let mut want = acc.clone();
+            let [a, b, c] = &mut want[..] else {
+                unreachable!()
+            };
+            let want_dxs = reference::backward_seq(&layer, &tape, &dhs, [a, b, c]);
+
+            let mut got = acc.clone();
+            let [a, b, c] = &mut got[..] else {
+                unreachable!()
+            };
+            layer.backward_seq_into(&tape, &dhs, [a, b, c], &mut ws, Some(&mut dxs));
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(bits(g), bits(w), "{input}x{hidden} batch {batch}");
+            }
+            assert_eq!(dxs.len(), want_dxs.len());
+            for (g, w) in dxs.iter().zip(&want_dxs) {
+                assert_eq!(bits(g), bits(w), "dx {input}x{hidden} batch {batch}");
+            }
+
+            // Skipping the input gradient leaves the weight gradients alone.
+            let mut skip = acc.clone();
+            let [a, b, c] = &mut skip[..] else {
+                unreachable!()
+            };
+            layer.backward_seq_into(&tape, &dhs, [a, b, c], &mut ws, None);
+            for (g, w) in skip.iter().zip(&want) {
+                assert_eq!(bits(g), bits(w), "no-dx {input}x{hidden} batch {batch}");
+            }
+        }
     }
 }

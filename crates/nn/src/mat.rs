@@ -460,6 +460,15 @@ impl Mat {
         self.cols = cols;
     }
 
+    /// Overwrite with a copy of `src` (shape included), reusing this
+    /// matrix's allocation.
+    pub fn copy_from(&mut self, src: &Mat) {
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+        self.rows = src.rows;
+        self.cols = src.cols;
+    }
+
     /// `self = self + other`, elementwise.
     pub fn add_assign(&mut self, other: &Mat) {
         assert_eq!(self.shape(), other.shape());
@@ -769,29 +778,35 @@ impl Mat {
         );
     }
 
-    /// `C = Aᵀ @ B` where A is `self` [k,m], B is [k,n]. Used for weight
-    /// gradients (`dW = xᵀ dy`) without materialising the transpose. The
-    /// zero-skipping axpy form is kept deliberately: one-hot activation
-    /// columns make this effectively sparse during training.
+    /// `C = Aᵀ @ B` where A is `self` [k,m], B is [k,n]: zeros plus
+    /// [`Mat::t_matmul_acc`].
     pub fn t_matmul(&self, b: &Mat) -> Mat {
-        assert_eq!(self.rows, b.rows, "t_matmul shape mismatch");
-        let (k, m, n) = (self.rows, self.cols, b.cols);
-        let mut out = Mat::zeros(m, n);
-        // out[i,j] = sum_k a[k,i] * b[k,j]; accumulate row-by-row of A/B.
-        for kk in 0..k {
-            let a_row = &self.data[kk * m..(kk + 1) * m];
-            let b_row = &b.data[kk * n..(kk + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a * bv;
-                }
-            }
-        }
+        let mut out = Mat::zeros(self.cols, b.cols);
+        self.t_matmul_acc(b, &mut out);
         out
+    }
+
+    /// `out += Aᵀ @ B` where A is `self` [k,m], B is [k,n] and `out` is
+    /// [m,n]: the weight-gradient kernel (`dW += xᵀ dy`), with no
+    /// transpose and no temporary. Zero entries of A are skipped (one-hot
+    /// inputs make this sparse during training). The result is bitwise
+    /// `out += t` where `t` is the k-ascending, zero-skipping sum, under
+    /// every kernel backend; see `simd::t_matmul_acc`.
+    pub fn t_matmul_acc(&self, b: &Mat, out: &mut Mat) {
+        assert_eq!(self.rows, b.rows, "t_matmul_acc shape mismatch");
+        assert_eq!(
+            out.shape(),
+            (self.cols, b.cols),
+            "t_matmul_acc output shape"
+        );
+        simd::t_matmul_acc(
+            &self.data,
+            &b.data,
+            self.rows,
+            self.cols,
+            b.cols,
+            &mut out.data,
+        );
     }
 
     /// `C = A @ Bᵀ` where A is `self` [m,k], B is [n,k]. Used for input
@@ -800,14 +815,29 @@ impl Mat {
     /// as [`Mat::matmul`]; small shapes keep the contiguous-row dot kernel,
     /// where packing overhead would dominate.
     pub fn matmul_t(&self, b: &Mat) -> Mat {
+        let mut out = Mat::zeros(0, 0);
+        self.matmul_t_into(b, &mut out);
+        out
+    }
+
+    /// `out = A @ Bᵀ`, overwriting `out` in place (resized only when the
+    /// shape changes): [`Mat::matmul_t`] into a reusable buffer.
+    pub fn matmul_t_into(&self, b: &Mat, out: &mut Mat) {
         assert_eq!(self.cols, b.cols, "matmul_t shape mismatch");
         let (m, k, n) = (self.rows, self.cols, b.rows);
-        let mut out = Mat::zeros(m, n);
         let work = m * k * n;
         let par = work >= PAR_FLOP_THRESHOLD;
         if work >= PACK_FLOP_THRESHOLD {
+            if out.shape() != (m, n) {
+                out.reset(m, n);
+            } else {
+                out.clear();
+            }
             gemm_t_packed_acc(&self.data, k, &b.data, n, &mut out.data, par);
-            return out;
+            return;
+        }
+        if out.shape() != (m, n) {
+            out.reset(m, n);
         }
         let body = |r: usize, out_row: &mut [f32]| {
             let a_row = &self.data[r * k..(r + 1) * k];
@@ -826,7 +856,6 @@ impl Mat {
                 body(r, row);
             }
         }
-        out
     }
 
     /// Explicit transpose (rarely needed; gradients use the fused kernels).

@@ -337,12 +337,12 @@ impl TokenLstm {
             xs.push(x);
             ecaches.push(c);
         }
-        let (logits, tape) = self.net.forward_ws(&xs, ws);
+        let logits = self.net.forward_ws(&xs, ws);
         let (loss, dlogits) = softmax_xent_denom(&logits, &targets, batch_rows);
         // Backward into the shard's buffers: [embed table | net params].
         let (etab, net_grads) = grads.mats_mut().split_first_mut().expect("grad layout");
-        let dxs = self.net.backward_into(&tape, &dlogits, net_grads);
-        for (c, dx) in ecaches.iter().zip(&dxs) {
+        let dxs = self.net.backward_into(ws, &dlogits, net_grads, true);
+        for (c, dx) in ecaches.iter().zip(dxs) {
             self.embed.backward_into(c, dx, etab);
         }
         loss
@@ -393,12 +393,12 @@ impl TokenLstm {
                     xs.push(x);
                     ecaches.push(c);
                 }
-                let (logits, tape) = self.net.forward_ws(&xs, &mut ws);
+                let logits = self.net.forward_ws(&xs, &mut ws);
                 let (loss, dlogits) = softmax_xent(&logits, &targets);
                 epoch_loss += loss;
                 batches += 1;
                 // Backward.
-                let dxs = self.net.backward(&tape, &dlogits);
+                let dxs = self.net.backward(&mut ws, &dlogits);
                 for (c, dx) in ecaches.iter().zip(&dxs) {
                     self.embed.backward(c, dx);
                 }
@@ -650,9 +650,9 @@ impl VectorLstm {
             }
             target.row_mut(r).copy_from_slice(&s[t]);
         }
-        let (pred, tape) = self.net.forward_ws(&xs, ws);
+        let pred = self.net.forward_ws(&xs, ws);
         let (loss, dpred) = mse_denom(&pred, &target, denom_elems);
-        self.net.backward_into(&tape, &dpred, grads.mats_mut());
+        self.net.backward_into(ws, &dpred, grads.mats_mut(), false);
         loss
     }
 
@@ -698,11 +698,11 @@ impl VectorLstm {
                     }
                     target.row_mut(r).copy_from_slice(&s[t]);
                 }
-                let (pred, tape) = self.net.forward_ws(&xs, &mut ws);
+                let pred = self.net.forward_ws(&xs, &mut ws);
                 let (loss, dpred) = mse(&pred, &target);
                 epoch_loss += loss;
                 batches += 1;
-                self.net.backward(&tape, &dpred);
+                self.net.backward(&mut ws, &dpred);
                 clip_global_norm(&mut self.net.params_mut(), cfg.clip);
                 opt.step(&mut self.net.params_mut());
             }

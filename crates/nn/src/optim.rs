@@ -23,11 +23,14 @@ pub fn nonfinite_grad_count() -> u64 {
 fn sanitize_grads(params: &mut [&mut Param]) -> u64 {
     let mut bad = 0u64;
     for p in params.iter_mut() {
-        for g in p.g.data_mut() {
-            if !g.is_finite() {
-                *g = 0.0;
-                bad += 1;
-            }
+        // A read-only count first: a healthy run never takes the write pass.
+        let n = p.g.data().iter().filter(|g| !g.is_finite()).count();
+        if n > 0 {
+            p.g.data_mut()
+                .iter_mut()
+                .filter(|g| !g.is_finite())
+                .for_each(|g| *g = 0.0);
+            bad += n as u64;
         }
     }
     if bad > 0 {
@@ -88,15 +91,18 @@ impl Optimizer for Sgd {
                 .map(|p| Mat::zeros(p.w.rows(), p.w.cols()))
                 .collect();
         }
+        let (lr, momentum) = (self.lr, self.momentum);
         for (i, p) in params.iter_mut().enumerate() {
-            if self.momentum > 0.0 {
-                let v = &mut self.velocity[i];
-                v.scale(self.momentum);
-                v.axpy(1.0, &p.g);
-                p.w.axpy(-self.lr, v);
+            let Param { w, g, .. } = &mut **p;
+            if momentum > 0.0 {
+                let v = self.velocity[i].data_mut();
+                for ((w, &g), v) in w.data_mut().iter_mut().zip(g.data()).zip(v) {
+                    *v *= momentum;
+                    *v += 1.0 * g;
+                    *w += -lr * *v;
+                }
             } else {
-                let g = p.g.clone();
-                p.w.axpy(-self.lr, &g);
+                w.axpy(-lr, g);
             }
             p.zero_grad();
         }
@@ -150,13 +156,13 @@ impl Optimizer for RmsProp {
                 .collect();
         }
         assert_eq!(self.cache.len(), params.len(), "parameter set changed size");
-        for (i, p) in params.iter_mut().enumerate() {
-            let cache = &mut self.cache[i];
-            for j in 0..p.w.data().len() {
-                let g = p.g.data()[j];
-                let c = self.decay * cache.data()[j] + (1.0 - self.decay) * g * g;
-                cache.data_mut()[j] = c;
-                p.w.data_mut()[j] -= self.lr * g / (c.sqrt() + self.eps);
+        let (lr, decay, eps) = (self.lr, self.decay, self.eps);
+        for (p, cache) in params.iter_mut().zip(&mut self.cache) {
+            let Param { w, g, .. } = &mut **p;
+            let wgc = w.data_mut().iter_mut().zip(g.data()).zip(cache.data_mut());
+            for ((w, &g), c) in wgc {
+                *c = decay * *c + (1.0 - decay) * g * g;
+                *w -= lr * g / (c.sqrt() + eps);
             }
             p.zero_grad();
         }
@@ -212,16 +218,21 @@ impl Optimizer for Adam {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, p) in params.iter_mut().enumerate() {
-            for j in 0..p.w.data().len() {
-                let g = p.g.data()[j];
-                let m = self.beta1 * self.m[i].data()[j] + (1.0 - self.beta1) * g;
-                let v = self.beta2 * self.v[i].data()[j] + (1.0 - self.beta2) * g * g;
-                self.m[i].data_mut()[j] = m;
-                self.v[i].data_mut()[j] = v;
-                let mhat = m / b1t;
-                let vhat = v / b2t;
-                p.w.data_mut()[j] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
+            let Param { w, g, .. } = &mut **p;
+            let wgmv = w
+                .data_mut()
+                .iter_mut()
+                .zip(g.data())
+                .zip(m.data_mut())
+                .zip(v.data_mut());
+            for (((w, &g), m), v) in wgmv {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let mhat = *m / b1t;
+                let vhat = *v / b2t;
+                *w -= lr * mhat / (vhat.sqrt() + eps);
             }
             p.zero_grad();
         }

@@ -287,6 +287,102 @@ pub(crate) fn gru_gates_train_nh(
     dispatch!(gru_gates_train_nh(pr, rhn, hp, z, n, h))
 }
 
+/// Weight-gradient kernel: `out[m,n] += Aᵀ·B` where `a` is `[k,m]` and
+/// `b` is `[k,n]`, both row-major.
+///
+/// Unlike every other kernel here, this one gives the same bits under
+/// every backend. Each output element is the zero-skipping chain
+/// `t = ((0 + a₀·b₀) + a₁·b₁) + …` over the non-zero `a` in k-ascending
+/// order, each term a multiply then an add (never fused), and `t` is
+/// added into `out` once. The AVX2 build only widens the lanes: the
+/// per-element operations and their order are the portable ones.
+pub(crate) fn t_matmul_acc(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if backend() == Backend::Avx2Fma {
+        // SAFETY: the Avx2Fma backend is only ever installed after
+        // runtime detection found AVX2 on this CPU (`detect`, and
+        // `set_backend` clamps through `supported`).
+        return unsafe { train::t_matmul_acc_avx2(a, b, k, m, n, out) };
+    }
+    train::t_matmul_acc_portable(a, b, k, m, n, out)
+}
+
+// ---------------------------------------------------------------------------
+// Training kernels: one portable body, bit-identical under every backend
+// ---------------------------------------------------------------------------
+
+mod train {
+    /// Register-strip width: two AVX2 lanes, four SSE lanes.
+    const W: usize = 16;
+
+    pub(super) fn t_matmul_acc_portable(
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        m: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        t_matmul_acc_body(a, b, k, m, n, out)
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn t_matmul_acc_avx2(
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        m: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        t_matmul_acc_body(a, b, k, m, n, out)
+    }
+
+    #[inline(always)]
+    fn t_matmul_acc_body(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
+        assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
+        let mut pairs: Vec<(&[f32], f32)> = Vec::with_capacity(k);
+        for (i, orow) in out[..m * n].chunks_exact_mut(n.max(1)).enumerate() {
+            // Output row i reads column i of A: collect its non-zero
+            // entries (with the matching B rows) once, k ascending.
+            pairs.clear();
+            pairs.extend(
+                (0..k)
+                    .map(|kk| (&b[kk * n..(kk + 1) * n], a[kk * m + i]))
+                    .filter(|&(_, av)| av != 0.0),
+            );
+            let mut strips = orow.chunks_exact_mut(W);
+            let mut j0 = 0;
+            for ostrip in &mut strips {
+                let mut acc = [0.0f32; W];
+                for &(brow, av) in &pairs {
+                    let bs: &[f32; W] = brow[j0..j0 + W].try_into().expect("strip inside the row");
+                    for (s, &bv) in acc.iter_mut().zip(bs) {
+                        *s += av * bv;
+                    }
+                }
+                for (o, s) in ostrip.iter_mut().zip(&acc) {
+                    *o += s;
+                }
+                j0 += W;
+            }
+            let tail = strips.into_remainder();
+            let mut acc = [0.0f32; W];
+            for &(brow, av) in &pairs {
+                for (s, &bv) in acc.iter_mut().zip(&brow[j0..]) {
+                    *s += av * bv;
+                }
+            }
+            for (o, s) in tail.iter_mut().zip(&acc) {
+                *o += s;
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar backend: byte-for-byte the historical pure-Rust loops
 // ---------------------------------------------------------------------------

@@ -12,13 +12,22 @@ use crate::param::Param;
 use desh_util::Xoshiro256pp;
 
 /// Reusable workspace for a whole stacked network: one [`LstmScratch`] per
-/// recurrent layer plus the head's output buffer. One of these carried
-/// across calls makes the streaming step and the training forward pass
-/// allocation-free in the gate pipeline.
+/// recurrent layer plus the head's output buffer, and for training the
+/// tape of the last [`StackedLstm::forward_ws`] with the per-step
+/// gradient buffers of the backward pass. One of these carried across
+/// calls makes the streaming step allocation-free, and the training
+/// forward and backward passes free of per-step allocations.
 #[derive(Debug, Clone, Default)]
 pub struct StackedScratch {
     layers: Vec<LstmScratch>,
     y: Mat,
+    /// One tape per recurrent layer, bottom first.
+    tapes: Vec<LstmTape>,
+    head_cache: Option<DenseCache>,
+    /// Per-step gradients w.r.t. the outputs (`dhs`) and inputs (`dxs`)
+    /// of the layer being back-propagated; swapped on the way down.
+    dhs: Vec<Mat>,
+    dxs: Vec<Mat>,
 }
 
 impl StackedScratch {
@@ -36,16 +45,6 @@ pub struct StackedLstm {
     pub layers: Vec<LstmLayer>,
     /// Output projection from top hidden state.
     pub head: Dense,
-}
-
-/// Tape for a stacked forward pass.
-#[derive(Debug)]
-pub struct StackedTape {
-    layer_tapes: Vec<LstmTape>,
-    /// Hidden outputs of each layer per step (needed to size zero grads).
-    layer_hs: Vec<Vec<Mat>>,
-    head_cache: DenseCache,
-    seq_len: usize,
 }
 
 impl StackedLstm {
@@ -94,46 +93,36 @@ impl StackedLstm {
         self.params().iter().map(|p| p.len()).sum()
     }
 
-    /// Size the workspace's per-layer scratch list (the buffers inside
-    /// each scratch are grown lazily by the layers themselves).
+    /// Size the workspace's per-layer scratch and tape lists (the buffers
+    /// inside are grown lazily by the layers themselves).
     fn ensure_scratch(&self, ws: &mut StackedScratch) {
         if ws.layers.len() != self.layers.len() {
             ws.layers = vec![LstmScratch::new(); self.layers.len()];
         }
+        if ws.tapes.len() != self.layers.len() {
+            ws.tapes = vec![LstmTape::default(); self.layers.len()];
+        }
     }
 
-    /// Forward over a window of inputs, reusing a caller-held workspace
-    /// for the gate pre-activations; produces the head output for the
-    /// final step plus the tape.
-    pub fn forward_ws(&self, xs: &[Mat], ws: &mut StackedScratch) -> (Mat, StackedTape) {
+    /// Training forward over a window of inputs: returns the head output
+    /// for the final step and records the tape into `ws`, reusing its
+    /// buffers, for the next [`StackedLstm::backward_into`].
+    pub fn forward_ws(&self, xs: &[Mat], ws: &mut StackedScratch) -> Mat {
         assert!(!xs.is_empty());
         self.ensure_scratch(ws);
-        let mut layer_tapes = Vec::with_capacity(self.layers.len());
-        let mut layer_hs: Vec<Vec<Mat>> = Vec::with_capacity(self.layers.len());
-        let mut cur: Vec<Mat> = xs.to_vec();
-        for (layer, lws) in self.layers.iter().zip(ws.layers.iter_mut()) {
-            let (hs, tape) = layer.forward_seq_ws(&cur, lws);
-            layer_tapes.push(tape);
-            cur = hs.clone();
-            layer_hs.push(hs);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (below, rest) = ws.tapes.split_at_mut(l);
+            let lws = &mut ws.layers[l];
+            match below.last() {
+                None => layer.forward_seq_into(xs.iter(), lws, &mut rest[0]),
+                Some(prev) => layer.forward_seq_into(prev.hs(), lws, &mut rest[0]),
+            }
         }
-        let last_h = cur.last().expect("non-empty sequence");
+        let top = ws.tapes.last().expect("at least one layer");
+        let last_h = top.hs().last().expect("non-empty sequence");
         let (y, head_cache) = self.head.forward(last_h);
-        (
-            y,
-            StackedTape {
-                layer_tapes,
-                layer_hs,
-                head_cache,
-                seq_len: xs.len(),
-            },
-        )
-    }
-
-    /// Forward with a throwaway workspace.
-    pub fn forward(&self, xs: &[Mat]) -> (Mat, StackedTape) {
-        let mut ws = StackedScratch::new();
-        self.forward_ws(xs, &mut ws)
+        ws.head_cache = Some(head_cache);
+        y
     }
 
     /// Inference: head output at the last step, no tape. Runs the
@@ -231,16 +220,16 @@ impl StackedLstm {
             .collect()
     }
 
-    /// Backward from the head-output gradient `dy` ([batch, output]).
-    /// Accumulates all parameter gradients; returns gradients w.r.t. the
-    /// input sequence.
-    pub fn backward(&mut self, tape: &StackedTape, dy: &Mat) -> Vec<Mat> {
+    /// Backward from the head-output gradient `dy` ([batch, output]) of
+    /// the pass last recorded in `ws`. Accumulates all parameter
+    /// gradients; returns gradients w.r.t. the input sequence.
+    pub fn backward(&mut self, ws: &mut StackedScratch, dy: &Mat) -> Vec<Mat> {
         let mut grads: Vec<Mat> = self
             .params()
             .iter()
             .map(|p| Mat::zeros(p.w.rows(), p.w.cols()))
             .collect();
-        let dxs = self.backward_into(tape, dy, &mut grads);
+        let dxs = self.backward_into(ws, dy, &mut grads, true).to_vec();
         for (p, g) in self.params_mut().into_iter().zip(&grads) {
             p.g.add_assign(g);
         }
@@ -256,44 +245,66 @@ impl StackedLstm {
     /// Backward with `&self` into an ordered gradient-buffer slice (one
     /// `Mat` per parameter, [`Self::params`] order): the data-parallel
     /// trainer's per-shard path, where workers share the model immutably.
-    pub fn backward_into(&self, tape: &StackedTape, dy: &Mat, grads: &mut [Mat]) -> Vec<Mat> {
+    /// Back-propagates the pass last recorded in `ws` by
+    /// [`StackedLstm::forward_ws`]. Returns the per-step gradients w.r.t.
+    /// the input sequence when `input_grads` is set; otherwise the bottom
+    /// layer's `dp · Wxᵀ` products are skipped and the slice is empty.
+    pub fn backward_into<'w>(
+        &self,
+        ws: &'w mut StackedScratch,
+        dy: &Mat,
+        grads: &mut [Mat],
+        input_grads: bool,
+    ) -> &'w [Mat] {
         assert_eq!(grads.len(), self.grad_slots(), "gradient buffer count");
         let nl = self.layers.len();
+        let StackedScratch {
+            layers,
+            tapes,
+            head_cache,
+            dhs,
+            dxs,
+            ..
+        } = ws;
+        let head_cache = head_cache
+            .as_ref()
+            .expect("backward_into before forward_ws");
         let (layer_grads, head_grads) = grads.split_at_mut(3 * nl);
-        let (dw_head, db_head) = head_grads.split_at_mut(1);
+        let [dw_head, db_head] = head_grads else {
+            unreachable!("two head gradient buffers")
+        };
 
         // Head backward feeds the last step of the top layer.
-        let dh_last =
-            self.head
-                .backward_into(&tape.head_cache, dy, &mut dw_head[0], &mut db_head[0]);
-        let batch = dh_last.rows();
-
-        // Gradient w.r.t. each step's hidden output of the current layer.
-        let mut dhs: Vec<Mat> = (0..tape.seq_len)
-            .map(|t| {
-                if t + 1 == tape.seq_len {
-                    dh_last.clone()
-                } else {
-                    Mat::zeros(batch, self.hidden_dim())
-                }
-            })
-            .collect();
+        let dh_last = self.head.backward_into(head_cache, dy, dw_head, db_head);
+        let seq_len = tapes[0].len();
+        dhs.resize_with(seq_len, Mat::default);
+        for (t, d) in dhs.iter_mut().enumerate() {
+            if t + 1 == seq_len {
+                d.copy_from(&dh_last);
+            } else {
+                d.reset(dh_last.rows(), self.hidden_dim());
+            }
+        }
 
         for (li, layer) in self.layers.iter().enumerate().rev() {
-            let g = &mut layer_grads[3 * li..3 * li + 3];
-            let (dwx, rest) = g.split_at_mut(1);
-            let (dwh, db) = rest.split_at_mut(1);
-            let dxs = layer.backward_seq_into(
-                &tape.layer_tapes[li],
-                &dhs,
-                &mut dwx[0],
-                &mut dwh[0],
-                &mut db[0],
+            let [dwx, dwh, db] = &mut layer_grads[3 * li..3 * li + 3] else {
+                unreachable!("three gradient buffers per layer")
+            };
+            let want_dx = li > 0 || input_grads;
+            layer.backward_seq_into(
+                &tapes[li],
+                dhs,
+                [dwx, dwh, db],
+                &mut layers[li],
+                want_dx.then_some(&mut *dxs),
             );
-            dhs = dxs;
+            std::mem::swap(dhs, dxs);
         }
-        let _ = &tape.layer_hs; // kept for future per-step losses
-        dhs
+        if input_grads {
+            dhs
+        } else {
+            &[]
+        }
     }
 
     /// All parameters, bottom layer first, head last.
@@ -327,6 +338,8 @@ impl StackedLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lstm::reference;
+    use crate::lstm::tests::{bits, one_hot_mat, rand_mat, rerun_on_scalar_backend};
 
     fn rand_seq(t: usize, batch: usize, dim: usize, rng: &mut Xoshiro256pp) -> Vec<Mat> {
         (0..t)
@@ -344,9 +357,10 @@ mod tests {
         // 2 layers * 3 params + head 2 params.
         assert_eq!(net.params().len(), 8);
         let xs = rand_seq(6, 2, 3, &mut rng);
-        let (y, tape) = net.forward(&xs);
+        let mut ws = StackedScratch::new();
+        let y = net.forward_ws(&xs, &mut ws);
         assert_eq!(y.shape(), (2, 5));
-        assert_eq!(tape.seq_len, 6);
+        assert_eq!(ws.tapes[0].len(), 6);
     }
 
     #[test]
@@ -354,7 +368,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         let net = StackedLstm::new(2, 3, 2, 2, &mut rng);
         let xs = rand_seq(5, 3, 2, &mut rng);
-        let (y, _) = net.forward(&xs);
+        let y = net.forward_ws(&xs, &mut StackedScratch::new());
         assert_eq!(net.infer(&xs), y);
     }
 
@@ -420,8 +434,9 @@ mod tests {
 
         // L = 0.5 ||y||^2 -> dy = y.
         let loss = |net: &StackedLstm, xs: &[Mat]| -> f64 { net.infer(xs).sq_norm() * 0.5 };
-        let (y, tape) = net.forward(&xs);
-        let dxs = net.backward(&tape, &y);
+        let mut ws = StackedScratch::new();
+        let y = net.forward_ws(&xs, &mut ws);
+        let dxs = net.backward(&mut ws, &y);
 
         let eps = 1e-3f32;
         // Sample several weights across all parameter tensors.
@@ -467,10 +482,97 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(5);
         let mut net = StackedLstm::new(2, 3, 1, 2, &mut rng);
         let xs = rand_seq(2, 1, 2, &mut rng);
-        let (y, tape) = net.forward(&xs);
-        net.backward(&tape, &y);
+        let mut ws = StackedScratch::new();
+        let y = net.forward_ws(&xs, &mut ws);
+        net.backward(&mut ws, &y);
         assert!(net.params().iter().any(|p| p.g.sq_norm() > 0.0));
         net.zero_grads();
         assert!(net.params().iter().all(|p| p.g.sq_norm() == 0.0));
+    }
+
+    /// The original stacked backward (head, then each layer's BPTT with
+    /// per-step temporaries) over the tape recorded in `ws`.
+    fn reference_backward(
+        net: &StackedLstm,
+        ws: &StackedScratch,
+        dy: &Mat,
+        grads: &mut [Mat],
+    ) -> Vec<Mat> {
+        let nl = net.layers.len();
+        let (layer_grads, head_grads) = grads.split_at_mut(3 * nl);
+        let [dw_head, db_head] = head_grads else {
+            unreachable!()
+        };
+        let last_h = ws.tapes[nl - 1].hs().last().unwrap();
+        dw_head.add_assign(&reference::t_matmul(last_h, dy));
+        db_head.add_assign(&dy.col_sums());
+        let dh_last = dy.matmul_t(&net.head.w.w);
+        let seq_len = ws.tapes[0].len();
+        let mut dhs: Vec<Mat> = (0..seq_len)
+            .map(|t| match t + 1 == seq_len {
+                true => dh_last.clone(),
+                false => Mat::zeros(dh_last.rows(), net.hidden_dim()),
+            })
+            .collect();
+        for (li, layer) in net.layers.iter().enumerate().rev() {
+            let [a, b, c] = &mut layer_grads[3 * li..3 * li + 3] else {
+                unreachable!()
+            };
+            dhs = reference::backward_seq(layer, &ws.tapes[li], &dhs, [a, b, c]);
+        }
+        dhs
+    }
+
+    /// Forward and backward through one reused workspace give bitwise the
+    /// reference stacked gradients, at both trainers' shard shapes and
+    /// with the batch size changing between calls; skipping the input
+    /// gradient changes no weight gradient. Native backend here, scalar
+    /// in a child process.
+    #[test]
+    fn backward_bit_identical_to_reference_formulas() {
+        rerun_on_scalar_backend("stacked::tests::backward_bit_identical_to_reference_formulas");
+        let mut rng = Xoshiro256pp::seed_from_u64(10);
+        for &(input, hidden, output, one_hot) in
+            &[(52usize, 64usize, 52usize, true), (16, 48, 30, false)]
+        {
+            let net = StackedLstm::new(input, hidden, 2, output, &mut rng);
+            let mut ws = StackedScratch::new();
+            for &(batch, t_len) in &[(8usize, 8usize), (3, 5), (4, 5)] {
+                let xs: Vec<Mat> = (0..t_len)
+                    .map(|_| match one_hot {
+                        true => one_hot_mat(batch, input),
+                        false => rand_mat(batch, input, &mut rng),
+                    })
+                    .collect();
+                let dy = rand_mat(batch, output, &mut rng);
+                let acc: Vec<Mat> = net
+                    .params()
+                    .iter()
+                    .map(|p| rand_mat(p.w.rows(), p.w.cols(), &mut rng))
+                    .collect();
+
+                let y = net.forward_ws(&xs, &mut ws);
+                assert_eq!(bits(&y), bits(&net.infer(&xs)));
+                let mut want = acc.clone();
+                let want_dxs = reference_backward(&net, &ws, &dy, &mut want);
+
+                let mut skip = acc.clone();
+                assert!(net.backward_into(&mut ws, &dy, &mut skip, false).is_empty());
+                let mut got = acc.clone();
+                let dxs = net.backward_into(&mut ws, &dy, &mut got, true);
+                assert_eq!(dxs.len(), want_dxs.len());
+                for (g, w) in dxs.iter().zip(&want_dxs) {
+                    assert_eq!(bits(g), bits(w), "dx at {input}x{hidden}, batch {batch}");
+                }
+                for ((g, s), w) in got.iter().zip(&skip).zip(&want) {
+                    assert_eq!(bits(g), bits(w), "grad at {input}x{hidden}, batch {batch}");
+                    assert_eq!(
+                        bits(s),
+                        bits(w),
+                        "no-dx grad at {input}x{hidden}, batch {batch}"
+                    );
+                }
+            }
+        }
     }
 }

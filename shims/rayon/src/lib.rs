@@ -22,6 +22,7 @@
 //! This is not a general-purpose rayon replacement: combinators are eager
 //! and the API surface is only what the workspace needs.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -61,10 +62,27 @@ pub fn set_thread_override(n: Option<usize>) {
     THREAD_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
 }
 
+thread_local! {
+    /// Set on the threads this shim spawns for the duration of their work.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Number of worker threads for a workload: the configured parallelism,
 /// capped so tiny inputs do not pay fork/join overhead for empty shards.
+/// A parallel call made from inside a worker runs inline on that worker:
+/// the outer call already occupies the pool, and a second layer of
+/// threads per nested call only adds spawn cost.
 fn threads_for(items: usize) -> usize {
+    if IN_WORKER.with(Cell::get) {
+        return 1;
+    }
     current_num_threads().min(items).max(1)
+}
+
+/// Run `f` as a worker: nested parallel calls inside it run inline.
+fn as_worker<R>(f: impl FnOnce() -> R) -> R {
+    IN_WORKER.with(|w| w.set(true));
+    f()
 }
 
 /// Deterministic binary-tree fold: combines `v` pairwise in a fixed
@@ -120,7 +138,7 @@ where
     std::thread::scope(|s| {
         let handles: Vec<_> = queues
             .into_iter()
-            .map(|q| s.spawn(move || q.into_iter().map(f).collect::<Vec<R>>()))
+            .map(|q| s.spawn(move || as_worker(|| q.into_iter().map(f).collect::<Vec<R>>())))
             .collect();
         for h in handles {
             parts.push(h.join().expect("parallel map worker panicked"));
@@ -334,9 +352,11 @@ impl<'a, T: Send> ParChunksMutEnumerate<'a, T> {
         std::thread::scope(|s| {
             for pile in piles {
                 s.spawn(move || {
-                    for item in pile {
-                        f(item);
-                    }
+                    as_worker(|| {
+                        for item in pile {
+                            f(item);
+                        }
+                    })
                 });
             }
         });
@@ -382,6 +402,31 @@ mod tests {
         // Every element got exactly its chunk's index + 1.
         for (j, &x) in data.iter().enumerate() {
             assert_eq!(x, (j / 7) as u32 + 1);
+        }
+    }
+
+    #[test]
+    fn nested_par_chunks_mut_runs_on_the_calling_worker() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        crate::set_thread_override(Some(2));
+        let main = std::thread::current().id();
+        // Per outer chunk: the worker's thread id and the thread ids its
+        // nested call's chunks ran on.
+        type Seen = (Option<std::thread::ThreadId>, Vec<Option<std::thread::ThreadId>>);
+        let mut seen: Vec<Seen> = vec![(None, Vec::new()); 4];
+        seen.par_chunks_mut(1).enumerate().for_each(|(_, slot)| {
+            let mut inner = vec![None; 8];
+            inner
+                .par_chunks_mut(1)
+                .enumerate()
+                .for_each(|(_, c)| c[0] = Some(std::thread::current().id()));
+            slot[0] = (Some(std::thread::current().id()), inner);
+        });
+        crate::set_thread_override(None);
+        for (outer, inner) in &seen {
+            let outer = outer.expect("outer chunk ran");
+            assert_ne!(outer, main, "outer call did not spawn workers");
+            assert!(inner.iter().all(|&t| t == Some(outer)), "nested call left its worker");
         }
     }
 
