@@ -370,7 +370,7 @@ const CONN_FLUSH_EVERY: usize = 64;
 /// quiet line still reaches its detector promptly.
 fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut groups: Vec<Vec<LogRecord>> = (0..shards).map(|_| Vec::new()).collect();
     let mut pending = 0usize;
     let flush = |groups: &mut Vec<Vec<LogRecord>>, pending: &mut usize| {
@@ -386,30 +386,13 @@ fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
             flush(&mut groups, &mut pending);
             return;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                flush(&mut groups, &mut pending);
-                return; // EOF
-            }
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if trimmed.is_empty() {
-                    continue;
-                }
-                match trimmed.parse::<LogRecord>() {
-                    Ok(r) => {
-                        groups[shard_of(r.node, shards)].push(r);
-                        pending += 1;
-                        if pending >= CONN_FLUSH_EVERY {
-                            flush(&mut groups, &mut pending);
-                        }
-                    }
-                    Err(_) => {
-                        inner.parse_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+        // A read that stalls mid-line keeps the bytes it got in `line` and
+        // the next read appends the rest, so the buffer is cleared only
+        // once a whole line (or the unterminated last one at EOF) is
+        // handled. Raw bytes, not `read_line`: a stall inside a multi-byte
+        // character must not drop the half already read.
+        let eof = match reader.read_until(b'\n', &mut line) {
+            Ok(n) => n == 0,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -421,6 +404,25 @@ fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
                 flush(&mut groups, &mut pending);
                 return;
             }
+        };
+        let text = std::str::from_utf8(&line).map(|l| l.trim_end_matches(['\r', '\n']));
+        if text != Ok("") {
+            match text.ok().and_then(|l| l.parse::<LogRecord>().ok()) {
+                Some(r) => {
+                    groups[shard_of(r.node, shards)].push(r);
+                    pending += 1;
+                }
+                None => {
+                    inner.parse_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        line.clear();
+        if eof || pending >= CONN_FLUSH_EVERY {
+            flush(&mut groups, &mut pending);
+        }
+        if eof {
+            return;
         }
     }
 }
@@ -734,6 +736,43 @@ mod tests {
         server.drain();
         assert_eq!(server.records_processed(), n as u64);
         assert_eq!(server.parse_errors(), 1);
+        server.stop();
+    }
+
+    #[test]
+    fn tcp_line_split_across_a_read_stall_is_kept_whole() {
+        let (t, cfg, test) = trained(505);
+        let telemetry = Telemetry::disabled();
+        let mut server = IntakeServer::start(
+            shard_detectors(&t, &cfg, 2, &telemetry),
+            IntakeConfig::default(),
+            &telemetry,
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        server.serve_tcp(listener).unwrap();
+
+        let line = format!("{}\n", test.records[0].to_raw_line());
+        let (head, tail) = line.split_at(line.len() / 2);
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.write_all(head.as_bytes()).unwrap();
+        conn.flush().unwrap();
+        // Longer than the connection's 100 ms read timeout, so the reader
+        // stalls with half a line buffered.
+        std::thread::sleep(Duration::from_millis(400));
+        conn.write_all(tail.as_bytes()).unwrap();
+        conn.flush().unwrap();
+        drop(conn);
+
+        let t0 = Instant::now();
+        while server.records_processed() + server.parse_errors() < 1
+            && t0.elapsed() < Duration::from_secs(30)
+        {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        server.drain();
+        assert_eq!(server.records_processed(), 1);
+        assert_eq!(server.parse_errors(), 0);
         server.stop();
     }
 }

@@ -12,7 +12,6 @@
 //! * [`label`] — the admin-knowledge Safe/Error/Unknown rules (Table 3).
 //! * [`stream`] — parallel parsing into [`stream::ParsedLog`].
 
-pub mod coalesce;
 pub mod label;
 pub mod stats;
 pub mod stream;
@@ -20,7 +19,6 @@ pub mod template;
 pub mod tokenize;
 pub mod vocab;
 
-pub use coalesce::{coalesce, CoalesceStats};
 pub use label::{is_failure_terminal, label_template};
 pub use stats::{find_bursts, node_activity, template_frequencies};
 pub use stream::{

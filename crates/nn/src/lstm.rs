@@ -137,6 +137,25 @@ impl LstmLayer {
         }
     }
 
+    /// Layer from stored weights, or `None` unless `wx` is `[input, 4h]`,
+    /// `wh` is `[h, 4h]` and `b` is `[1, 4h]` with `input, h >= 1`.
+    pub(crate) fn from_params(wx: Param, wh: Param, b: Param) -> Option<Self> {
+        let (input, hidden) = (wx.w.rows(), wh.w.rows());
+        let gates = hidden.checked_mul(4)?;
+        let fits = input > 0
+            && hidden > 0
+            && wx.w.cols() == gates
+            && wh.w.cols() == gates
+            && b.w.shape() == (1, gates);
+        fits.then_some(Self {
+            wx,
+            wh,
+            b,
+            hidden,
+            input,
+        })
+    }
+
     /// Hidden width.
     pub fn hidden_dim(&self) -> usize {
         self.hidden

@@ -479,7 +479,7 @@ impl TokenLstm {
 pub struct VectorLstm {
     /// Stacked LSTM with a linear head of the same width as the input.
     pub net: StackedLstm,
-    dim: usize,
+    pub(crate) dim: usize,
 }
 
 impl VectorLstm {
@@ -494,6 +494,13 @@ impl VectorLstm {
     /// Sample width.
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// Always `Some(self)`. Kept only for `perfbench/src/layers.rs`, which
+    /// reads the scoring network as `model.net.f32()`; remove it together
+    /// with that call.
+    pub fn f32(&self) -> Option<&VectorLstm> {
+        Some(self)
     }
 
     /// Left-pad a window to `history` samples with zero vectors; failure

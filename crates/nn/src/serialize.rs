@@ -25,8 +25,10 @@ fn get_mat(d: &mut Decoder) -> Result<Mat, CodecError> {
     let rows = d.u64()? as usize;
     let cols = d.u64()? as usize;
     let data = d.f32_vec()?;
-    if data.len() != rows * cols {
-        return Err(CodecError::LengthOverflow(data.len() as u64));
+    if rows.checked_mul(cols) != Some(data.len()) {
+        return Err(CodecError::BadShape(
+            "matrix data does not match rows x cols",
+        ));
     }
     Ok(Mat::from_vec(rows, cols, data))
 }
@@ -69,14 +71,11 @@ fn get_lstm_layer(d: &mut Decoder) -> Result<LstmLayer, CodecError> {
     let wx = get_param(d)?;
     let wh = get_param(d)?;
     let b = get_param(d)?;
-    // Rebuild through the constructor to restore private dims, then swap in
-    // the stored weights.
-    let mut rng = desh_util::Xoshiro256pp::seed_from_u64(0);
-    let mut layer = LstmLayer::new(input, hidden, "loaded", &mut rng);
-    layer.wx = wx;
-    layer.wh = wh;
-    layer.b = b;
-    Ok(layer)
+    LstmLayer::from_params(wx, wh, b)
+        .filter(|l| l.input_dim() == input && l.hidden_dim() == hidden)
+        .ok_or(CodecError::BadShape(
+            "LSTM layer weights do not fit its widths",
+        ))
 }
 
 fn put_stacked(e: &mut Encoder, net: &StackedLstm) {
@@ -88,12 +87,27 @@ fn put_stacked(e: &mut Encoder, net: &StackedLstm) {
 }
 
 fn get_stacked(d: &mut Decoder) -> Result<StackedLstm, CodecError> {
-    let n = d.u64()? as usize;
-    let mut layers = Vec::with_capacity(n);
+    // Nothing is preallocated from the stored count: a corrupt count
+    // fails on the first layer the stream does not hold.
+    let n = d.u64()?;
+    let mut layers: Vec<LstmLayer> = Vec::new();
     for _ in 0..n {
-        layers.push(get_lstm_layer(d)?);
+        let layer = get_lstm_layer(d)?;
+        if let Some(below) = layers.last() {
+            if layer.input_dim() != below.hidden_dim() || layer.hidden_dim() != below.hidden_dim() {
+                return Err(CodecError::BadShape("stacked LSTM layer widths differ"));
+            }
+        }
+        layers.push(layer);
     }
     let head = get_dense(d)?;
+    let fits = layers
+        .first()
+        .is_some_and(|l| head.w.w.rows() == l.hidden_dim())
+        && head.b.w.shape() == (1, head.w.w.cols());
+    if !fits {
+        return Err(CodecError::BadShape("head does not fit the top LSTM layer"));
+    }
     Ok(StackedLstm { layers, head })
 }
 
@@ -120,6 +134,11 @@ impl TokenLstm {
         }
         let table = get_mat(&mut d)?;
         let net = get_stacked(&mut d)?;
+        if net.input_dim() != table.cols() || net.output_dim() != table.rows() {
+            return Err(CodecError::BadShape(
+                "network does not fit the embedding table",
+            ));
+        }
         Ok(Self {
             embed: Embedding::from_table(table),
             net,
@@ -148,12 +167,17 @@ impl VectorLstm {
                 found: [kind, 0, 0, 0],
             });
         }
-        let dim = d.u64()? as usize;
+        let dim = d.u64()?;
         let net = get_stacked(&mut d)?;
-        let mut rng = desh_util::Xoshiro256pp::seed_from_u64(0);
-        let mut model = VectorLstm::new(dim, net.hidden_dim(), net.depth(), &mut rng);
-        model.net = net;
-        Ok(model)
+        if net.input_dim() as u64 != dim || net.output_dim() as u64 != dim {
+            return Err(CodecError::BadShape(
+                "network width does not match the sample width",
+            ));
+        }
+        Ok(VectorLstm {
+            net,
+            dim: dim as usize,
+        })
     }
 }
 
@@ -188,6 +212,45 @@ mod tests {
         let token = TokenLstm::new(4, 3, 4, 1, &mut rng);
         let bytes = token.to_bytes();
         assert!(VectorLstm::from_bytes(bytes).is_err());
+    }
+
+    /// `VectorLstm` bytes with the given sample width, layer list and head.
+    fn vector_bytes(dim: u64, layers: &[LstmLayer], head: &Dense) -> Bytes {
+        let mut e = Encoder::with_header(MAGIC, VERSION);
+        e.put_u8(2);
+        e.put_u64(dim);
+        e.put_u64(layers.len() as u64);
+        for l in layers {
+            put_lstm_layer(&mut e, l);
+        }
+        put_dense(&mut e, head);
+        e.finish()
+    }
+
+    #[test]
+    fn inconsistent_shapes_rejected() {
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let m = VectorLstm::new(3, 4, 2, &mut rng);
+        let (layers, head) = (&m.net.layers, &m.net.head);
+        assert!(VectorLstm::from_bytes(vector_bytes(3, layers, head)).is_ok());
+        // Sample width disagrees with the bottom layer.
+        assert!(VectorLstm::from_bytes(vector_bytes(4, layers, head)).is_err());
+        // No layers at all, a valid head after the count.
+        assert!(VectorLstm::from_bytes(vector_bytes(3, &[], head)).is_err());
+        // Layers whose widths do not chain.
+        let wide = LstmLayer::new(4, 5, "wide", &mut rng);
+        let unchained = [layers[0].clone(), wide];
+        assert!(VectorLstm::from_bytes(vector_bytes(3, &unchained, head)).is_err());
+        // A head that does not fit the top layer.
+        let other = Dense::new(5, 3, "head", &mut rng);
+        assert!(VectorLstm::from_bytes(vector_bytes(3, layers, &other)).is_err());
+        // A stored layer width that disagrees with its weights, and a
+        // layer count far beyond the stream.
+        for (at, v) in [(25, 4), (17, u64::MAX)] {
+            let mut raw = vector_bytes(3, layers, head).to_vec();
+            raw[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            assert!(VectorLstm::from_bytes(raw.into()).is_err(), "byte {at}");
+        }
     }
 
     #[test]

@@ -209,22 +209,6 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(dot(a, b))
 }
 
-/// Int8-weight GEMV accumulate with f32 accumulation:
-/// `out[0..n] += Σ_k a[k] · scale · q[k, lo..lo+n]` where `q` has row
-/// stride `qcols`. The per-tensor `scale` is folded into the broadcast
-/// activation, so the inner loop is widen-convert + FMA.
-pub(crate) fn gemv_i8_acc(
-    a: &[f32],
-    q: &[i8],
-    qcols: usize,
-    lo: usize,
-    n: usize,
-    scale: f32,
-    out: &mut [f32],
-) {
-    dispatch!(gemv_i8_acc(a, q, qcols, lo, n, scale, out))
-}
-
 /// Fused LSTM gate activations for one batch row of the inference path:
 /// reads the `[i|f|g|o]` pre-activation row (len `4*hsz`) and updates the
 /// cell and hidden rows in place.
@@ -502,28 +486,6 @@ mod scalar {
             s += a[i] * b[i];
         }
         s
-    }
-
-    pub(super) fn gemv_i8_acc(
-        a: &[f32],
-        q: &[i8],
-        qcols: usize,
-        lo: usize,
-        n: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        let out = &mut out[..n];
-        for (kk, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let av = av * scale;
-            let qrow = &q[kk * qcols + lo..kk * qcols + lo + n];
-            for (o, &qv) in out.iter_mut().zip(qrow) {
-                *o += av * qv as f32;
-            }
-        }
     }
 
     pub(super) fn lstm_gates_step(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
@@ -1051,40 +1013,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gemv_i8_acc(
-        a: &[f32],
-        q: &[i8],
-        qcols: usize,
-        lo: usize,
-        n: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        let out = &mut out[..n];
-        let n8 = n - n % 8;
-        for (kk, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let avs = av * scale;
-            let avv = _mm256_set1_ps(avs);
-            let qrow = q.as_ptr().add(kk * qcols + lo);
-            let mut j = 0;
-            while j < n8 {
-                // 8 × i8 → i32 → f32, then FMA into the accumulator row.
-                let qi = _mm_loadl_epi64(qrow.add(j) as *const __m128i);
-                let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
-                let acc = _mm256_loadu_ps(out.as_ptr().add(j));
-                _mm256_storeu_ps(out.as_mut_ptr().add(j), _mm256_fmadd_ps(avv, qf, acc));
-                j += 8;
-            }
-            for (j, o) in out.iter_mut().enumerate().skip(n8) {
-                *o += avs * *qrow.add(j) as f32;
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn lstm_gates_step(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
         let hsz = c.len();
         let h8 = hsz - hsz % 8;
@@ -1489,42 +1417,6 @@ mod neon {
         s
     }
 
-    pub(super) unsafe fn gemv_i8_acc(
-        a: &[f32],
-        q: &[i8],
-        qcols: usize,
-        lo: usize,
-        n: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        let out = &mut out[..n];
-        let n8 = n - n % 8;
-        for (kk, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let avs = av * scale;
-            let avv = vdupq_n_f32(avs);
-            let qrow = q.as_ptr().add(kk * qcols + lo);
-            let mut j = 0;
-            while j < n8 {
-                let qi = vld1_s8(qrow.add(j));
-                let qw = vmovl_s8(qi);
-                let qlo = vcvtq_f32_s32(vmovl_s16(vget_low_s16(qw)));
-                let qhi = vcvtq_f32_s32(vmovl_s16(vget_high_s16(qw)));
-                let acc0 = vld1q_f32(out.as_ptr().add(j));
-                let acc1 = vld1q_f32(out.as_ptr().add(j + 4));
-                vst1q_f32(out.as_mut_ptr().add(j), vfmaq_f32(acc0, avv, qlo));
-                vst1q_f32(out.as_mut_ptr().add(j + 4), vfmaq_f32(acc1, avv, qhi));
-                j += 8;
-            }
-            for (j, o) in out.iter_mut().enumerate().skip(n8) {
-                *o += avs * *qrow.add(j) as f32;
-            }
-        }
-    }
-
     pub(super) unsafe fn lstm_gates_step(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
         let hsz = c.len();
         let h4 = hsz - hsz % 4;
@@ -1912,32 +1804,6 @@ mod tests {
             for k in 0..hsz {
                 assert!((rh_s[k] - rh_v[k]).abs() <= 2e-6);
                 assert!((h_s[k] - h_v[k]).abs() <= 2e-6);
-            }
-        }
-        set_backend(native);
-    }
-
-    #[test]
-    fn int8_gemv_matches_dequantized_f32() {
-        let native = backend();
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        for &(k, n) in &[(5usize, 9usize), (16, 24), (33, 70)] {
-            let a = randv(&mut rng, k, -1.0, 1.0);
-            let w = randv(&mut rng, k * n, -0.5, 0.5);
-            let maxabs = w.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let scale = if maxabs == 0.0 { 1.0 } else { maxabs / 127.0 };
-            let q: Vec<i8> = w
-                .iter()
-                .map(|v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-                .collect();
-            let deq: Vec<f32> = q.iter().map(|&v| v as f32 * scale).collect();
-            let mut want = vec![0.0f32; n];
-            scalar::gemv_dense_acc(&a, &deq, n, 0, n, &mut want);
-            set_backend(native);
-            let mut got = vec![0.0f32; n];
-            gemv_i8_acc(&a, &q, n, 0, n, scale, &mut got);
-            for (wv, gv) in want.iter().zip(&got) {
-                assert!((wv - gv).abs() <= 1e-3, "{wv} vs {gv}");
             }
         }
         set_backend(native);

@@ -23,6 +23,9 @@ pub enum CodecError {
     LengthOverflow(u64),
     /// A UTF-8 string field held invalid bytes.
     BadUtf8,
+    /// Decoded fields disagree with each other (e.g. a weight matrix
+    /// whose shape does not fit its layer).
+    BadShape(&'static str),
     /// A sealed container's payload checksum did not match (bit rot or
     /// a truncated/edited artifact).
     BadChecksum { expected: u64, found: u64 },
@@ -45,6 +48,7 @@ impl fmt::Display for CodecError {
             }
             CodecError::LengthOverflow(n) => write!(f, "length prefix too large: {n}"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
+            CodecError::BadShape(what) => write!(f, "inconsistent shape: {what}"),
             CodecError::BadChecksum { expected, found } => write!(
                 f,
                 "payload checksum mismatch: sealed {expected:#018x}, computed {found:#018x} \
@@ -125,14 +129,6 @@ impl Encoder {
         self.put_u64(xs.len() as u64);
         for &x in xs {
             self.buf.put_u32_le(x);
-        }
-    }
-
-    /// Length-prefixed i8 slice (quantized weight tensors).
-    pub fn put_i8_slice(&mut self, xs: &[i8]) {
-        self.put_u64(xs.len() as u64);
-        for &x in xs {
-            self.buf.put_u8(x as u8);
         }
     }
 
@@ -245,13 +241,6 @@ impl Decoder {
             out.push(raw.get_u32_le());
         }
         Ok(out)
-    }
-
-    /// Length-prefixed i8 slice written by [`Encoder::put_i8_slice`].
-    pub fn i8_vec(&mut self) -> Result<Vec<i8>, CodecError> {
-        let n = self.len_prefix()?;
-        let raw = self.take(n)?;
-        Ok(raw.iter().map(|&b| b as i8).collect())
     }
 
     /// Bytes not yet consumed.

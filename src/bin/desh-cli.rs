@@ -13,10 +13,7 @@
 //! them when ground truth is supplied; `analyze` runs the log mining and
 //! unknown-phrase analysis with no model at all.
 
-use desh::checkpoint::{
-    encode_checkpoint, encode_quantized_checkpoint, load_any_checkpoint, load_checkpoint,
-    resolve_capsule_checkpoint, Checkpoint,
-};
+use desh::checkpoint::{encode_checkpoint, load_checkpoint, resolve_capsule_checkpoint, Checkpoint};
 use desh::core::{
     config_hash, dataset_fingerprint, render_report, replay_capsule, run_phase1_session,
     run_phase2_session, Backpressure, BatchDetector, IntakeConfig, IntakeServer, OnlineDetector,
@@ -58,8 +55,8 @@ fn main() -> ExitCode {
     } else {
         let boolean: &[&str] = match cmd.as_str() {
             "train" => &["fast"],
-            "predict" => &["fast", "profile", "int8"],
-            "serve" => &["int8", "drop-oldest"],
+            "predict" => &["fast", "profile"],
+            "serve" => &["drop-oldest"],
             "slo" => &["json"],
             _ => &[],
         };
@@ -76,7 +73,6 @@ fn main() -> ExitCode {
             "predict" => cmd_predict(&opts),
             "serve" => cmd_serve(&opts),
             "drive" => cmd_drive(&opts),
-            "quantize" => cmd_quantize(&opts),
             "analyze" => cmd_analyze(&opts),
             "slo" => cmd_slo(&opts),
             "--help" | "-h" | "help" => {
@@ -103,31 +99,29 @@ USAGE:
                     [--truth <truth.txt>] [--seed <n>]
   desh-cli train    --log <logs.txt> --out <model.dshm> [--seed <n>] [--fast]
                     [--telemetry <out.jsonl>] [--run-dir <dir>] [--run-id <id>]
-  desh-cli predict  --log <logs.txt> --model <model.dshm|model.dshq>
-                    [--int8] [--truth <truth.txt>]
+  desh-cli predict  --log <logs.txt> --model <model.dshm> [--truth <truth.txt>]
                     [--telemetry <out.jsonl>] [--serve <addr:port>]
                     [--serve-secs <n>] [--trace-dir <dir>] [--runs-dir <dir>]
                     [--capsule-dir <dir>]
                     [--shadow <ckpt>] [--shadow-ledger <out.jsonl>]
                     [--shadow-slack <secs>]
                     [--profile] [--profile-every <n>]
-  desh-cli serve    --model <model.dshm|model.dshq> --listen <host:port>
-                    [--int8] [--shards <n>] [--slots <n>] [--queue-depth <n>]
+  desh-cli serve    --model <model.dshm> --listen <host:port>
+                    [--shards <n>] [--slots <n>] [--queue-depth <n>]
                     [--batch-max <n>] [--drop-oldest] [--http <host:port>]
                     [--shadow <ckpt>] [--shadow-ledger <out.jsonl>]
                     [--shadow-slack <secs>] [--serve-secs <n>]
   desh-cli drive    --log <logs.txt> --to <host:port> [--secs <n>] [--rate <lines/s>]
-  desh-cli quantize --model <model.dshm> --out <model.dshq>
   desh-cli analyze  --log <logs.txt>
   desh-cli slo      --addr <host:port> [--json]
   desh-cli runs     list            --dir <runs-dir> [--json]
   desh-cli runs     show <id>       --dir <runs-dir>
   desh-cli runs     diff <a> <b>    --dir <runs-dir>
-  desh-cli capsule  record          --log <logs.txt> --model <ckpt> --out <dir> [--int8]
+  desh-cli capsule  record          --log <logs.txt> --model <ckpt> --out <dir>
   desh-cli capsule  list            --dir <dir> [--json]
   desh-cli capsule  verify <file.dcap>
   desh-cli capsule  replay <file.dcap> [--model <ckpt>]
-                    [--allow-backend-mismatch] [--allow-precision-mismatch]
+                    [--allow-backend-mismatch]
   desh-cli capsule  diff   <file.dcap> [--model <ckpt>]
   desh-cli shadow   report --ledger <shadow.jsonl> [--json]
                     [--max-warning-delta-pct <x>] [--max-pr-regression <y>]
@@ -173,10 +167,10 @@ USAGE:
   --model) and asserts bit-exact agreement on every trace word and
   warning field — it exits non-zero on divergence, printing the first
   divergent event and per-field deltas. `capsule diff` is the same
-  comparison but expects divergence (backend/precision mismatches
-  allowed) and always exits zero. `capsule verify` checks a file's
-  seal (magic, version, checksum); `capsule list` summarizes a
-  directory of capsules.
+  comparison but expects divergence (backend mismatches allowed) and
+  always exits zero. `capsule verify` checks a file's seal (magic,
+  version, checksum); `capsule list` summarizes a directory of
+  capsules.
 
   --profile samples per-event latency waterfalls through the detector's
   pipeline stages (1 in DESH_PROFILE_EVERY events unless --profile-every
@@ -212,12 +206,8 @@ USAGE:
   regression in log-scale buckets) and render a PASS/FAIL verdict; `shadow
   report` exits non-zero on FAIL so CI can gate promotions on it.
 
-  `quantize` converts a trained `.dshm` checkpoint into an int8 `.dshq`
-  sidecar (symmetric per-tensor weights, f32 accumulate, ~4× smaller
-  resident model). `predict` accepts either format; `predict --int8`
-  forces the quantized path, converting a `.dshm` in memory if needed.
-  The active SIMD kernel backend and precision are printed at load and
-  reported at /healthz and in the nn.kernel_backend / nn.int8 gauges.";
+  The active SIMD kernel backend is printed at load and reported at
+  /healthz and in the nn.kernel_backend gauge.";
 
 type Flags = HashMap<String, String>;
 
@@ -299,31 +289,27 @@ fn shadow_identity_of(path: &str, ck: &Checkpoint) -> ShadowIdentity {
         path: path.to_string(),
         run_id: (!ck.run_id.is_empty()).then(|| ck.run_id.clone()),
         config_hash: Some(ck.config_hash),
-        precision: Some(ck.model.net.precision().to_string()),
+        precision: Some("f32".to_string()),
     }
 }
 
-/// Load the `--shadow` candidate checkpoint, mirroring the primary's
-/// `--int8` conversion so both sides score through the same kernel path.
+/// Resident f32 weight size of a checkpoint's scoring network, in KiB.
+fn weight_kib(ck: &Checkpoint) -> f64 {
+    (ck.model.net.net.param_count() * std::mem::size_of::<f32>()) as f64 / 1024.0
+}
+
+/// Load the `--shadow` candidate checkpoint.
 fn shadow_checkpoint_of(opts: &Flags) -> Result<Option<(String, Checkpoint)>, String> {
     let Some(path) = opts.get("shadow") else {
         return Ok(None);
     };
-    let mut sck = load_any_checkpoint(Path::new(path))
+    let sck = load_checkpoint(Path::new(path))
         .map_err(|e| format!("cannot load shadow checkpoint {path}: {e}"))?;
-    if opts.contains_key("int8") && sck.model.net.precision() != "int8" {
-        sck.f32_net_bytes = sck.model.net.resident_bytes() as u64;
-        sck.model = sck.model.quantize();
-    }
     match &sck.run_id[..] {
-        "" => println!(
-            "shadow candidate {path} ({} weights)",
-            sck.model.net.precision()
-        ),
+        "" => println!("shadow candidate {path}"),
         id => println!(
-            "shadow candidate {path}: run {id} (config hash {:016x}, {} weights)",
-            sck.config_hash,
-            sck.model.net.precision()
+            "shadow candidate {path}: run {id} (config hash {:016x})",
+            sck.config_hash
         ),
     }
     Ok(Some((path.clone(), sck)))
@@ -565,34 +551,18 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
         // --telemetry.
         telemetry = Telemetry::enabled();
     }
-    let mut ck = telemetry.time("load_model", || load_any_checkpoint(&model_path))?;
+    let ck = telemetry.time("load_model", || load_checkpoint(&model_path))?;
     if !ck.run_id.is_empty() {
         println!(
             "model trained under run {} (config hash {:016x})",
             ck.run_id, ck.config_hash
         );
     }
-    if opts.contains_key("int8") && ck.model.net.precision() != "int8" {
-        // Convert in memory: the quantized model replaces the f32 one, so
-        // only the int8 weights stay resident for the replay.
-        ck.f32_net_bytes = ck.model.net.resident_bytes() as u64;
-        ck.model = ck.model.quantize();
-    }
-    let precision = ck.model.net.precision();
-    let resident = ck.model.net.resident_bytes();
-    match (precision, ck.f32_net_bytes) {
-        ("int8", f32b) if f32b > 0 => println!(
-            "scoring path: {} kernels, {precision} weights ({:.1} KiB resident, {:.1}x smaller than f32)",
-            desh::nn::kernel_backend_name(),
-            resident as f64 / 1024.0,
-            f32b as f64 / resident as f64
-        ),
-        _ => println!(
-            "scoring path: {} kernels, {precision} weights ({:.1} KiB resident)",
-            desh::nn::kernel_backend_name(),
-            resident as f64 / 1024.0
-        ),
-    }
+    println!(
+        "scoring path: {} kernels, f32 weights ({:.1} KiB resident)",
+        desh::nn::kernel_backend_name(),
+        weight_kib(&ck)
+    );
     let shadow_slack = shadow_slack_of(opts)?;
     let shadow_ck = shadow_checkpoint_of(opts)?;
     let health = HealthInfo {
@@ -600,7 +570,7 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
         run_id: (!ck.run_id.is_empty()).then(|| ck.run_id.clone()),
         config_hash: Some(ck.config_hash),
         kernel_backend: Some(desh::nn::kernel_backend_name().to_string()),
-        precision: Some(precision.to_string()),
+        precision: Some("f32".to_string()),
         shadow_run_id: shadow_ck
             .as_ref()
             .and_then(|(_, s)| (!s.run_id.is_empty()).then(|| s.run_id.clone())),
@@ -659,7 +629,6 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
                 &model_path,
                 &ck.run_id,
                 ck.config_hash,
-                precision,
                 vocab.len(),
                 chains.len(),
                 &cfg,
@@ -945,22 +914,17 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     }
 
     let telemetry = Telemetry::enabled();
-    let mut ck = load_any_checkpoint(&model_path)?;
+    let ck = load_checkpoint(&model_path)?;
     if !ck.run_id.is_empty() {
         println!(
             "model trained under run {} (config hash {:016x})",
             ck.run_id, ck.config_hash
         );
     }
-    if opts.contains_key("int8") && ck.model.net.precision() != "int8" {
-        ck.f32_net_bytes = ck.model.net.resident_bytes() as u64;
-        ck.model = ck.model.quantize();
-    }
-    let precision = ck.model.net.precision();
     println!(
-        "scoring path: {} kernels, {precision} weights ({:.1} KiB resident per shard)",
+        "scoring path: {} kernels, f32 weights ({:.1} KiB resident per shard)",
         desh::nn::kernel_backend_name(),
-        ck.model.net.resident_bytes() as f64 / 1024.0
+        weight_kib(&ck)
     );
     let shadow_slack = shadow_slack_of(opts)?;
     let shadow_ck = shadow_checkpoint_of(opts)?;
@@ -1035,7 +999,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
                 run_id: (!ck.run_id.is_empty()).then(|| ck.run_id.clone()),
                 config_hash: Some(ck.config_hash),
                 kernel_backend: Some(desh::nn::kernel_backend_name().to_string()),
-                precision: Some(precision.to_string()),
+                precision: Some("f32".to_string()),
                 shadow_run_id: shadow_ck
                     .as_ref()
                     .and_then(|(_, s)| (!s.run_id.is_empty()).then(|| s.run_id.clone())),
@@ -1179,53 +1143,6 @@ fn cmd_drive(opts: &Flags) -> Result<(), String> {
         "drove {sent} lines to {to} in {secs_elapsed:.1}s ({:.0} lines/s)",
         sent as f64 / secs_elapsed.max(1e-9)
     );
-    Ok(())
-}
-
-/// `quantize`: convert a trained `.dshm` checkpoint into a standalone
-/// int8 `.dshq` sidecar. Vocabulary, chains and the provenance stamp are
-/// carried through; the f32 tensors are not.
-fn cmd_quantize(opts: &Flags) -> Result<(), String> {
-    let model_path = PathBuf::from(need(opts, "model")?);
-    let out = PathBuf::from(need(opts, "out")?);
-    if let Ok(head) = std::fs::read(&model_path) {
-        if head.starts_with(b"DSHQ") {
-            return Err(format!(
-                "{} is already an int8-quantized checkpoint (.dshq); quantize takes the f32 .dshm",
-                model_path.display()
-            ));
-        }
-    }
-    let ck = load_checkpoint(&model_path)?;
-    let f32_bytes = ck.model.net.resident_bytes();
-    let qmodel = ck.model.quantize();
-    let q_bytes = qmodel.net.resident_bytes();
-    let bytes = encode_quantized_checkpoint(
-        &qmodel,
-        &ck.vocab,
-        &ck.chains,
-        &ck.run_id,
-        ck.config_hash,
-        f32_bytes as u64,
-    );
-    std::fs::write(&out, &bytes).map_err(|e| e.to_string())?;
-    println!("quantized {} -> {}", model_path.display(), out.display());
-    println!(
-        "  weights: {:.1} KiB f32 -> {:.1} KiB int8 ({:.1}x smaller resident model)",
-        f32_bytes as f64 / 1024.0,
-        q_bytes as f64 / 1024.0,
-        f32_bytes as f64 / q_bytes as f64
-    );
-    println!(
-        "  file: {:.1} KiB (vocab + chains + provenance carried through)",
-        bytes.len() as f64 / 1024.0
-    );
-    if !ck.run_id.is_empty() {
-        println!(
-            "  provenance: run {} (config hash {:016x})",
-            ck.run_id, ck.config_hash
-        );
-    }
     Ok(())
 }
 
@@ -1581,7 +1498,6 @@ fn capsule_context(
     model_path: &Path,
     run_id: &str,
     config_hash: u64,
-    precision: &str,
     vocab_len: usize,
     chains: usize,
     cfg: &DeshConfig,
@@ -1591,7 +1507,7 @@ fn capsule_context(
         run_id: run_id.to_string(),
         config_hash,
         backend: desh::nn::kernel_backend_name().to_string(),
-        precision: precision.to_string(),
+        precision: "f32".to_string(),
         shards: std::env::var("DESH_SHARDS").unwrap_or_default(),
         vocab_len: vocab_len as u64,
         chains: chains as u64,
@@ -1612,12 +1528,7 @@ fn cmd_capsule(args: &[String]) -> Result<(), String> {
     let (pos, flags) = args.split_at(split);
     let opts = parse_flags(
         flags,
-        &[
-            "json",
-            "int8",
-            "allow-backend-mismatch",
-            "allow-precision-mismatch",
-        ],
+        &["json", "allow-backend-mismatch"],
     )?;
     match pos {
         [sub] if sub == "record" => capsule_record(&opts),
@@ -1626,9 +1537,9 @@ fn cmd_capsule(args: &[String]) -> Result<(), String> {
         [sub, file] if sub == "replay" => capsule_replay(file, &opts, false),
         [sub, file] if sub == "diff" => capsule_replay(file, &opts, true),
         _ => Err(
-            "usage: desh-cli capsule <record --log <logs> --model <ckpt> --out <dir> [--int8] \
+            "usage: desh-cli capsule <record --log <logs> --model <ckpt> --out <dir> \
              | list --dir <dir> [--json] | verify <file.dcap> \
-             | replay <file.dcap> [--model <ckpt>] [--allow-backend-mismatch] [--allow-precision-mismatch] \
+             | replay <file.dcap> [--model <ckpt>] [--allow-backend-mismatch] \
              | diff <file.dcap> [--model <ckpt>]>"
                 .into(),
         ),
@@ -1643,11 +1554,7 @@ fn capsule_record(opts: &Flags) -> Result<(), String> {
     let log_path = PathBuf::from(need(opts, "log")?);
     let model_path = PathBuf::from(need(opts, "model")?);
     let out = PathBuf::from(need(opts, "out")?);
-    let mut ck = load_any_checkpoint(&model_path)?;
-    if opts.contains_key("int8") && ck.model.net.precision() != "int8" {
-        ck.model = ck.model.quantize();
-    }
-    let precision = ck.model.net.precision();
+    let ck = load_checkpoint(&model_path)?;
     let Checkpoint {
         model,
         vocab,
@@ -1667,7 +1574,6 @@ fn capsule_record(opts: &Flags) -> Result<(), String> {
         &model_path,
         &run_id,
         config_hash,
-        precision,
         vocab.len(),
         chains.len(),
         &cfg,
@@ -1676,7 +1582,7 @@ fn capsule_record(opts: &Flags) -> Result<(), String> {
         .map_err(|e| format!("cannot open capsule dir {}: {e}", out.display()))?;
     let (records, bad) = desh::loggen::io::read_log_file(&log_path).map_err(|e| e.to_string())?;
     println!(
-        "recording: {} records ({} corrupt skipped) on {} kernels, {precision} weights",
+        "recording: {} records ({} corrupt skipped) on {} kernels, f32 weights",
         records.len(),
         bad.len(),
         desh::nn::kernel_backend_name()
@@ -1792,8 +1698,6 @@ fn capsule_replay(file: &str, opts: &Flags, expect_divergence: bool) -> Result<(
     }
     let replay_opts = ReplayOptions {
         allow_backend_mismatch: expect_divergence || opts.contains_key("allow-backend-mismatch"),
-        allow_precision_mismatch: expect_divergence
-            || opts.contains_key("allow-precision-mismatch"),
     };
     let report = replay_capsule(&capsule, ck.model, ck.vocab, &ck.chains, &replay_opts)?;
     print!("{}", render_report(&report));

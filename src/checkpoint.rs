@@ -1,4 +1,4 @@
-//! Checkpoint encode/decode for the CLI's `.dshm` and `.dshq` model files.
+//! Checkpoint encode/decode for the CLI's `.dshm` model files.
 //!
 //! `.dshm` layout (all little-endian, via [`desh_util::codec`]):
 //!
@@ -16,17 +16,12 @@
 //! Older versions still load: v1 files simply have no chains and no
 //! provenance, v2 files no provenance.
 //!
-//! `.dshq` (magic `DSHQ`) is the int8-quantized sidecar produced by
-//! `desh-cli quantize`: the same vocabulary, constants, chains and
-//! provenance stamp, but the network section holds a
-//! [`desh_nn::QuantizedVectorLstm`] plus the original f32 network's
-//! resident byte count (so `predict` can report the compression ratio).
-//! A `.dshq` is standalone — it never contains the f32 tensors — and
-//! [`load_any_checkpoint`] sniffs the magic to accept either format.
+//! Decoding is total: a truncated or corrupt file yields an `Err`, never
+//! a panic or an allocation sized by an unchecked length field.
 
-use desh_core::{ChainEvent, FailureChain, LeadTimeModel, ScoringNet};
+use desh_core::{ChainEvent, FailureChain, LeadTimeModel};
 use desh_logparse::Vocab;
-use desh_nn::{QuantizedVectorLstm, VectorLstm};
+use desh_nn::VectorLstm;
 use desh_util::codec::{Decoder, Encoder};
 use desh_util::Micros;
 use desh_loggen::NodeId;
@@ -37,16 +32,10 @@ use std::sync::Arc;
 pub const MODEL_MAGIC: [u8; 4] = *b"DSHC";
 /// Current checkpoint format version. This build reads `1..=MODEL_VERSION`.
 pub const MODEL_VERSION: u32 = 3;
-/// Quantized checkpoint file magic.
-pub const QUANT_MAGIC: [u8; 4] = *b"DSHQ";
-/// Current quantized checkpoint format version.
-pub const QUANT_VERSION: u32 = 1;
-
-/// Everything a `.dshm` or `.dshq` file holds, decoded.
+/// Everything a `.dshm` file holds, decoded.
 #[derive(Debug)]
 pub struct Checkpoint {
     /// The lead-time model (losses are not persisted; empty after load).
-    /// Holds the int8 scoring net when loaded from a `.dshq`.
     pub model: LeadTimeModel,
     /// Training vocabulary, in intern order.
     pub vocab: Arc<Vocab>,
@@ -59,9 +48,6 @@ pub struct Checkpoint {
     pub config_hash: u64,
     /// Format version the file was written with.
     pub version: u32,
-    /// Resident bytes of the f32 network the quantized net was derived
-    /// from (0 for `.dshm` files) — for compression-ratio reporting.
-    pub f32_net_bytes: u64,
 }
 
 fn encode_chains(chains: &[FailureChain]) -> Vec<u8> {
@@ -80,13 +66,30 @@ fn encode_chains(chains: &[FailureChain]) -> Vec<u8> {
     e.finish().to_vec()
 }
 
+/// Read a count of items that each take at least `min_bytes` bytes,
+/// refusing one the rest of the stream cannot hold.
+fn count(d: &mut Decoder, min_bytes: usize, what: &str) -> Result<usize, String> {
+    let n = d.u64().map_err(|e| e.to_string())?;
+    if n > (d.remaining() / min_bytes) as u64 {
+        return Err(format!(
+            "corrupt checkpoint: {n} {what} cannot fit in the {} bytes left",
+            d.remaining()
+        ));
+    }
+    Ok(n as usize)
+}
+
 fn decode_chains(d: &mut Decoder) -> Result<Vec<FailureChain>, String> {
-    let n = d.u64().map_err(|e| e.to_string())? as usize;
+    let n = count(d, 24, "chains")?;
     let mut chains = Vec::with_capacity(n);
     for _ in 0..n {
-        let node = NodeId::from_index(d.u64().map_err(|e| e.to_string())? as usize);
+        let index = d.u64().map_err(|e| e.to_string())?;
+        if index >= NodeId::MAX_INDEX as u64 {
+            return Err(format!("corrupt checkpoint: chain node index {index} out of range"));
+        }
+        let node = NodeId::from_index(index as usize);
         let terminal_time = Micros(d.u64().map_err(|e| e.to_string())?);
-        let len = d.u64().map_err(|e| e.to_string())? as usize;
+        let len = count(d, 20, "chain events")?;
         let mut events = Vec::with_capacity(len);
         for _ in 0..len {
             let time = Micros(d.u64().map_err(|e| e.to_string())?);
@@ -117,11 +120,7 @@ pub fn encode_checkpoint(
     }
     e.put_f32(model.dt_scale);
     e.put_u64(model.history as u64);
-    let net = model
-        .net
-        .f32()
-        .expect("`.dshm` checkpoints hold the f32 network; use encode_quantized_checkpoint")
-        .to_bytes();
+    let net = model.net.to_bytes();
     e.put_u64(net.len() as u64);
     let mut bytes = e.finish().to_vec();
     bytes.extend_from_slice(&net);
@@ -148,19 +147,25 @@ pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
     let mut d = Decoder::new(bytes::Bytes::from(bytes));
     d.expect_header(MODEL_MAGIC, version)
         .map_err(|e| e.to_string())?;
-    let n = d.u64().map_err(|e| e.to_string())? as usize;
+    let n = count(&mut d, 8, "vocabulary entries")?;
     let vocab = Vocab::new();
     for _ in 0..n {
         vocab.intern(&d.string().map_err(|e| e.to_string())?);
     }
     let dt_scale = d.f32().map_err(|e| e.to_string())?;
     let history = d.u64().map_err(|e| e.to_string())? as usize;
-    let net_len = d.u64().map_err(|e| e.to_string())? as usize;
+    let net_len = count(&mut d, 1, "network bytes")?;
     let mut net_bytes = vec![0u8; net_len];
     for b in net_bytes.iter_mut() {
         *b = d.u8().map_err(|e| e.to_string())?;
     }
     let net = VectorLstm::from_bytes(net_bytes.into()).map_err(|e| e.to_string())?;
+    if net.dim() != n + 1 {
+        return Err(format!(
+            "corrupt checkpoint: network width {} does not match {n} vocabulary entries + 1",
+            net.dim()
+        ));
+    }
     // v1 checkpoints predate the chain trailer; detectors loaded from them
     // run fine but cannot name a warning's matched chain.
     let chains = if version >= 2 { decode_chains(&mut d)? } else { Vec::new() };
@@ -173,7 +178,7 @@ pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
         (String::new(), 0)
     };
     let model = LeadTimeModel {
-        net: ScoringNet::F32(net),
+        net,
         dt_scale,
         vocab_size: n,
         history,
@@ -186,108 +191,12 @@ pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
         run_id,
         config_hash,
         version,
-        f32_net_bytes: 0,
-    })
-}
-
-/// Serialize an int8-quantized model as a standalone `.dshq` sidecar.
-/// `f32_net_bytes` records the resident size of the f32 network the
-/// quantized one was derived from (ratio reporting only; pass 0 when
-/// unknown).
-pub fn encode_quantized_checkpoint(
-    model: &LeadTimeModel,
-    vocab: &Vocab,
-    chains: &[FailureChain],
-    run_id: &str,
-    config_hash: u64,
-    f32_net_bytes: u64,
-) -> Vec<u8> {
-    let qnet = match &model.net {
-        ScoringNet::Int8(q) => q,
-        ScoringNet::F32(_) => {
-            panic!("`.dshq` checkpoints hold the int8 network; quantize the model first")
-        }
-    };
-    let mut e = Encoder::with_header(QUANT_MAGIC, QUANT_VERSION);
-    let snapshot = vocab.snapshot();
-    e.put_u64(snapshot.len() as u64);
-    for t in &snapshot {
-        e.put_str(t);
-    }
-    e.put_f32(model.dt_scale);
-    e.put_u64(model.history as u64);
-    e.put_u64(f32_net_bytes);
-    let net = qnet.to_bytes();
-    e.put_u64(net.len() as u64);
-    let mut bytes = e.finish().to_vec();
-    bytes.extend_from_slice(&net);
-    bytes.extend_from_slice(&encode_chains(chains));
-    let mut stamp = Encoder::new();
-    stamp.put_str(run_id);
-    stamp.put_u64(config_hash);
-    bytes.extend_from_slice(&stamp.finish());
-    bytes
-}
-
-/// Decode a `.dshq` quantized checkpoint.
-pub fn decode_quantized_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
-    let mut d = Decoder::new(bytes::Bytes::from(bytes));
-    d.expect_header(QUANT_MAGIC, QUANT_VERSION)
-        .map_err(|e| e.to_string())?;
-    let n = d.u64().map_err(|e| e.to_string())? as usize;
-    let vocab = Vocab::new();
-    for _ in 0..n {
-        vocab.intern(&d.string().map_err(|e| e.to_string())?);
-    }
-    let dt_scale = d.f32().map_err(|e| e.to_string())?;
-    let history = d.u64().map_err(|e| e.to_string())? as usize;
-    let f32_net_bytes = d.u64().map_err(|e| e.to_string())?;
-    let net_len = d.u64().map_err(|e| e.to_string())? as usize;
-    let mut net_bytes = vec![0u8; net_len];
-    for b in net_bytes.iter_mut() {
-        *b = d.u8().map_err(|e| e.to_string())?;
-    }
-    let qnet = QuantizedVectorLstm::from_bytes(net_bytes.into()).map_err(|e| e.to_string())?;
-    let chains = decode_chains(&mut d)?;
-    let run_id = d.string().map_err(|e| e.to_string())?;
-    let config_hash = d.u64().map_err(|e| e.to_string())?;
-    let model = LeadTimeModel {
-        net: ScoringNet::Int8(qnet),
-        dt_scale,
-        vocab_size: n,
-        history,
-        losses: Vec::new(),
-    };
-    Ok(Checkpoint {
-        model,
-        vocab: Arc::new(vocab),
-        chains,
-        run_id,
-        config_hash,
-        version: QUANT_VERSION,
-        f32_net_bytes,
     })
 }
 
 /// Read and decode a `.dshm` checkpoint file.
 pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, String> {
     decode_checkpoint(std::fs::read(path).map_err(|e| e.to_string())?)
-}
-
-/// Read a checkpoint of either format, sniffing the magic: `DSHC` (f32
-/// `.dshm`) or `DSHQ` (int8 `.dshq`).
-pub fn load_any_checkpoint(path: &Path) -> Result<Checkpoint, String> {
-    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-    if bytes.len() < 4 {
-        return Err("model file truncated".into());
-    }
-    match &bytes[..4] {
-        m if m == MODEL_MAGIC => decode_checkpoint(bytes),
-        m if m == QUANT_MAGIC => decode_quantized_checkpoint(bytes),
-        m => Err(format!(
-            "unrecognised model magic {m:?} (expected {MODEL_MAGIC:?} or {QUANT_MAGIC:?})"
-        )),
-    }
 }
 
 /// Resolve the checkpoint an incident capsule references. An explicit
@@ -306,14 +215,14 @@ pub fn resolve_capsule_checkpoint(
         None => {
             if meta.checkpoint.is_empty() {
                 return Err(
-                    "capsule does not record a checkpoint path; pass --model <file.dshm|file.dshq>"
+                    "capsule does not record a checkpoint path; pass --model <file.dshm>"
                         .to_string(),
                 );
             }
             std::path::PathBuf::from(&meta.checkpoint)
         }
     };
-    let ck = load_any_checkpoint(&path)
+    let ck = load_checkpoint(&path)
         .map_err(|e| format!("failed to load checkpoint {}: {e}", path.display()))?;
     let mut drift = Vec::new();
     if meta.config_hash != 0 && ck.config_hash != 0 && meta.config_hash != ck.config_hash {
@@ -377,56 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_sidecar_round_trips() {
-        let (model, vocab, chains) = trained_fixture(94);
-        let qmodel = model.quantize();
-        let f32_bytes = model.net.resident_bytes() as u64;
-        let bytes =
-            encode_quantized_checkpoint(&qmodel, &vocab, &chains, "run-94", 0xbeef, f32_bytes);
-        assert_eq!(&bytes[..4], &QUANT_MAGIC);
-        let ck = decode_quantized_checkpoint(bytes).unwrap();
-        assert_eq!(ck.run_id, "run-94");
-        assert_eq!(ck.config_hash, 0xbeef);
-        assert_eq!(ck.f32_net_bytes, f32_bytes);
-        assert_eq!(ck.chains.len(), chains.len());
-        assert_eq!(ck.model.net.precision(), "int8");
-        assert!(ck.model.net.f32().is_none(), "no f32 tensors in a .dshq");
-        // ≥3× smaller resident than the f32 original (acceptance bar).
-        assert!(ck.model.net.resident_bytes() as u64 * 3 <= f32_bytes);
-        // Scores match the in-memory quantized model exactly.
-        let seq: Vec<Vec<f32>> = (0..6).map(|i| model.vectorize(30.0 * i as f64, 0)).collect();
-        assert_eq!(
-            ck.model.net.score_stream_batch(&seq),
-            qmodel.net.score_stream_batch(&seq)
-        );
-    }
-
-    #[test]
-    fn load_any_checkpoint_sniffs_magic() {
-        let (model, vocab, chains) = trained_fixture(95);
-        let dir = std::env::temp_dir().join("desh_ckpt_sniff_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let f32_path = dir.join("m.dshm");
-        let q_path = dir.join("m.dshq");
-        std::fs::write(&f32_path, encode_checkpoint(&model, &vocab, &chains, "", 0)).unwrap();
-        let qmodel = model.quantize();
-        std::fs::write(
-            &q_path,
-            encode_quantized_checkpoint(&qmodel, &vocab, &chains, "", 0, 0),
-        )
-        .unwrap();
-        assert_eq!(
-            load_any_checkpoint(&f32_path).unwrap().model.net.precision(),
-            "f32"
-        );
-        assert_eq!(
-            load_any_checkpoint(&q_path).unwrap().model.net.precision(),
-            "int8"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn v2_files_still_load_without_provenance() {
         let (model, vocab, chains) = trained_fixture(92);
         // A v2 file is exactly a v3 file minus the provenance trailer,
@@ -481,6 +340,120 @@ mod tests {
         // --model override wins over a bogus sealed path.
         meta.checkpoint = "/nonexistent/gone.dshm".into();
         assert!(resolve_capsule_checkpoint(&meta, Some(&path)).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const SMALL_VOCAB: [&str; 4] = ["boot ok", "mce error", "link down", "kernel panic"];
+
+    /// A hand-built checkpoint of a few KiB whose network is `dim` wide,
+    /// so decoding every truncation of it stays cheap.
+    fn small_checkpoint(dim: usize) -> Vec<u8> {
+        let vocab = Vocab::new();
+        for t in SMALL_VOCAB {
+            vocab.intern(t);
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        let model = LeadTimeModel {
+            net: VectorLstm::new(dim, 3, 2, &mut rng),
+            dt_scale: 300.0,
+            vocab_size: vocab.len(),
+            history: 5,
+            losses: Vec::new(),
+        };
+        let chain = FailureChain {
+            node: NodeId::from_index(3),
+            terminal_time: Micros(9_000_000),
+            events: vec![ChainEvent {
+                time: Micros(1_000_000),
+                phrase: 1,
+                delta_t: 8.0,
+            }],
+        };
+        encode_checkpoint(&model, &vocab, &[chain], "run-small", 0x5eed)
+    }
+
+    fn u64_at(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    #[test]
+    fn decoder_refuses_truncated_and_corrupt_files() {
+        let good = small_checkpoint(SMALL_VOCAB.len() + 1);
+        assert!(decode_checkpoint(good.clone()).is_ok());
+        for len in 0..good.len() {
+            assert!(
+                decode_checkpoint(good[..len].to_vec()).is_err(),
+                "truncated to {len} of {} bytes",
+                good.len()
+            );
+        }
+
+        // Offsets of the length and shape fields (layouts in this module's
+        // docs and in `desh_nn::serialize`).
+        let vocab_at = 8;
+        let net_len_at = 16 + SMALL_VOCAB.iter().map(|t| 8 + t.len()).sum::<usize>() + 12;
+        let net_at = net_len_at + 8;
+        let dim_at = net_at + 9;
+        let layers_at = dim_at + 8;
+        let rows_at = layers_at + 24 + 8 + "lstm0.wx".len();
+        let cols_at = rows_at + 8;
+        let chains_at = net_at + u64_at(&good, net_len_at) as usize;
+        let node_at = chains_at + 8;
+        for (at, want) in [
+            (vocab_at, 4),
+            (dim_at, 5),
+            (layers_at, 2),
+            (rows_at, 5),
+            (cols_at, 12),
+            (chains_at, 1),
+            (node_at, 3),
+        ] {
+            assert_eq!(u64_at(&good, at), want, "layout drifted at byte {at}");
+        }
+        let corruptions: [(&str, &[(usize, u64)]); 12] = [
+            ("vocabulary count", &[(vocab_at, u64::MAX)]),
+            ("network length", &[(net_len_at, u64::MAX)]),
+            ("network length", &[(net_len_at, 1 << 40)]),
+            ("sample width", &[(dim_at, 1 << 40)]),
+            ("sample width", &[(dim_at, 6)]),
+            ("layer count", &[(layers_at, u64::MAX)]),
+            ("layer count", &[(layers_at, 0)]),
+            ("matrix rows x cols", &[(rows_at, 1 << 33), (cols_at, 1 << 33)]),
+            ("matrix rows", &[(rows_at, 6)]),
+            ("chain count", &[(chains_at, u64::MAX)]),
+            ("chain events", &[(chains_at + 24, u64::MAX)]),
+            ("chain node", &[(node_at, u64::MAX)]),
+        ];
+        for (what, edits) in corruptions {
+            let mut bad = good.clone();
+            for &(at, v) in edits {
+                bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            assert!(decode_checkpoint(bad).is_err(), "corrupt {what} was accepted");
+        }
+
+        // A self-consistent network whose width is not vocabulary + 1.
+        let err = decode_checkpoint(small_checkpoint(SMALL_VOCAB.len() + 3)).unwrap_err();
+        assert!(err.contains("does not match"), "{err}");
+
+        let mut foreign = good;
+        foreign[..4].copy_from_slice(b"DSHQ");
+        assert!(decode_checkpoint(foreign).is_err());
+    }
+
+    #[test]
+    fn load_checkpoint_refuses_foreign_magic() {
+        let dir = std::env::temp_dir().join("desh_ckpt_magic_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = small_checkpoint(SMALL_VOCAB.len() + 1);
+        let path = dir.join("m.dshm");
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(load_checkpoint(&path).unwrap().run_id, "run-small");
+        let mut foreign = good;
+        foreign[..4].copy_from_slice(b"DSHQ");
+        std::fs::write(&path, &foreign).unwrap();
+        let err = load_checkpoint(&path).unwrap_err();
+        assert!(err.contains("bad magic"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

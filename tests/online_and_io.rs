@@ -83,23 +83,6 @@ fn file_round_trip_preserves_pipeline_results() {
 }
 
 #[test]
-fn coalescing_bursty_duplicates_keeps_detection_intact() {
-    use desh::logparse::{coalesce, parse_records_with_vocab};
-
-    let (desh, trained, test) = fixture();
-    let parsed = parse_records_with_vocab(&test.records, trained.parsed_train.vocab.clone());
-    let (coalesced, stats) = coalesce(&parsed, Micros::from_secs(1));
-    // Our generator rarely duplicates within 1s, so coalescing is nearly a
-    // no-op — detection must not degrade.
-    assert!(stats.reduction() < 0.05);
-    let a = desh::core::run_phase3(&trained.lead_model, &parsed, &test.failures, &desh.cfg);
-    let b = desh::core::run_phase3(&trained.lead_model, &coalesced, &test.failures, &desh.cfg);
-    let ra = a.confusion.recall();
-    let rb = b.confusion.recall();
-    assert!((ra - rb).abs() < 0.1, "recall moved {ra:.2} -> {rb:.2}");
-}
-
-#[test]
 fn calibration_transfers_to_unseen_data() {
     // Calibrate the operating point on one dataset, verify the budget
     // approximately holds on a *fresh* dataset from the same profile.
