@@ -152,24 +152,19 @@ fn main() {
     // A differently-seeded candidate riding shotgun, exactly as
     // `predict --shadow` runs it. Its detector and monitor live on a
     // private registry so the gated histogram stays the primary's alone.
-    let mut shadow = args.shadow.then(|| {
+    if args.shadow {
         println!("training shadow candidate (seed {})...", EXPERIMENT_SEED + 1);
         let st = Desh::new(desh.cfg.clone(), EXPERIMENT_SEED + 1).train(&train);
         let quiet = Telemetry::disabled();
         let candidate = st.online_detector(desh.cfg.clone(), &quiet);
-        det.set_observe_scores(true);
         let monitor = Arc::new(ShadowMonitor::new(&quiet, DEFAULT_SHADOW_SLACK_SECS));
+        det.attach_shadow(ShadowScorer::new(candidate, monitor));
         println!("shadow scoring attached beside the measured primary");
-        ShadowScorer::new(candidate, monitor)
-    });
+    }
     let t0 = Instant::now();
     let mut warnings = 0usize;
     for r in &test.records {
-        let w = det.ingest(r);
-        if let Some(sh) = shadow.as_mut() {
-            sh.observe(r, w.as_ref(), det.last_score());
-        }
-        if w.is_some() {
+        if det.ingest(r).is_some() {
             warnings += 1;
         }
     }
@@ -216,7 +211,7 @@ fn main() {
             warning_log.len()
         );
     }
-    if let Some(sh) = &shadow {
+    if let Some(sh) = det.shadow() {
         sh.finish();
         let s = sh.monitor().summary();
         println!(

@@ -19,7 +19,7 @@
 //!   `results/BENCH_serve.json` in full runs; off in smoke runs).
 
 use desh_bench::{experiment_config, EXPERIMENT_SEED};
-use desh_core::{BatchDetector, Desh, DeshConfig, IntakeConfig, IntakeServer, OnlineDetector};
+use desh_core::{Desh, DeshConfig, IntakeConfig, IntakeServer, OnlineDetector};
 use desh_loggen::{generate, SystemProfile};
 use desh_obs::Telemetry;
 use std::sync::Arc;
@@ -121,9 +121,9 @@ fn main() {
     // timed window spans first push to drain (all records fully scored).
     let run_intake = || {
         let telemetry = Telemetry::enabled();
-        let detectors: Vec<BatchDetector> = (0..args.shards)
+        let detectors: Vec<OnlineDetector> = (0..args.shards)
             .map(|_| {
-                let mut d = BatchDetector::with_telemetry(
+                let mut d = OnlineDetector::with_telemetry(
                     model.clone(),
                     Arc::clone(vocab),
                     desh.cfg.clone(),

@@ -68,7 +68,11 @@ pub fn chain_from_episode(
     if events.len() < 2 {
         return None;
     }
-    Some(FailureChain { node: ep.node, terminal_time, events })
+    Some(FailureChain {
+        node: ep.node,
+        terminal_time,
+        events,
+    })
 }
 
 /// Extract every failure chain in a parsed log.
@@ -85,7 +89,13 @@ mod tests {
     use desh_loggen::{generate, FailureClass, SystemProfile};
     use desh_logparse::parse_records;
 
-    fn chains_for(seed: u64) -> (ParsedLog, Vec<FailureChain>, Vec<desh_loggen::GroundTruthFailure>) {
+    fn chains_for(
+        seed: u64,
+    ) -> (
+        ParsedLog,
+        Vec<FailureChain>,
+        Vec<desh_loggen::GroundTruthFailure>,
+    ) {
         let d = generate(&SystemProfile::tiny(), seed);
         let parsed = parse_records(&d.records);
         let chains = extract_chains(&parsed, &EpisodeConfig::default());
@@ -106,7 +116,11 @@ mod tests {
     fn delta_t_is_cumulative_and_monotone() {
         let (_, chains, _) = chains_for(32);
         for c in &chains {
-            assert_eq!(c.events.last().unwrap().delta_t, 0.0, "terminal ΔT must be 0");
+            assert_eq!(
+                c.events.last().unwrap().delta_t,
+                0.0,
+                "terminal ΔT must be 0"
+            );
             for w in c.events.windows(2) {
                 assert!(
                     w[0].delta_t > w[1].delta_t,
@@ -137,7 +151,10 @@ mod tests {
         };
         let mce = mean_lead_of(FailureClass::Mce);
         let panic = mean_lead_of(FailureClass::Panic);
-        assert!(mce > panic + 30.0, "MCE lead {mce:.1}s should exceed Panic {panic:.1}s");
+        assert!(
+            mce > panic + 30.0,
+            "MCE lead {mce:.1}s should exceed Panic {panic:.1}s"
+        );
     }
 
     #[test]
@@ -154,7 +171,10 @@ mod tests {
     #[test]
     fn lookback_clips_long_chains() {
         let (parsed, _, _) = chains_for(35);
-        let cfg = EpisodeConfig { chain_lookback_secs: 30.0, ..EpisodeConfig::default() };
+        let cfg = EpisodeConfig {
+            chain_lookback_secs: 30.0,
+            ..EpisodeConfig::default()
+        };
         for c in extract_chains(&parsed, &cfg) {
             assert!(c.lead_secs() <= 30.0);
         }

@@ -45,7 +45,11 @@ impl Default for Phase1Config {
             lr: 0.3,
             batch: 64,
             use_sgns: true,
-            sgns: SgnsConfig { dim: 16, epochs: 2, ..SgnsConfig::default() },
+            sgns: SgnsConfig {
+                dim: 16,
+                epochs: 2,
+                ..SgnsConfig::default()
+            },
         }
     }
 }
@@ -100,7 +104,11 @@ pub struct Phase3Config {
 
 impl Default for Phase3Config {
     fn default() -> Self {
-        Self { mse_threshold: 0.5, score_scale: 1.0, min_evidence: 1 }
+        Self {
+            mse_threshold: 0.5,
+            score_scale: 1.0,
+            min_evidence: 1,
+        }
     }
 }
 
@@ -119,7 +127,11 @@ pub struct EpisodeConfig {
 
 impl Default for EpisodeConfig {
     fn default() -> Self {
-        Self { session_gap_secs: 200.0, chain_lookback_secs: 420.0, min_events: 3 }
+        Self {
+            session_gap_secs: 200.0,
+            chain_lookback_secs: 420.0,
+            min_events: 3,
+        }
     }
 }
 
@@ -164,10 +176,18 @@ impl DeshConfig {
                 embed_dim: 8,
                 hidden: 16,
                 epochs: 1,
-                sgns: SgnsConfig { dim: 8, epochs: 1, ..SgnsConfig::default() },
+                sgns: SgnsConfig {
+                    dim: 8,
+                    epochs: 1,
+                    ..SgnsConfig::default()
+                },
                 ..Phase1Config::default()
             },
-            phase2: Phase2Config { hidden: 32, epochs: 80, ..Phase2Config::default() },
+            phase2: Phase2Config {
+                hidden: 32,
+                epochs: 80,
+                ..Phase2Config::default()
+            },
             phase3: Phase3Config::default(),
             episodes: EpisodeConfig::default(),
         }

@@ -116,6 +116,9 @@ mod tests {
         };
         let one = run_with(1);
         let four = run_with(4);
-        assert_eq!(one, four, "pipeline metrics must not depend on worker count");
+        assert_eq!(
+            one, four,
+            "pipeline metrics must not depend on worker count"
+        );
     }
 }

@@ -57,7 +57,10 @@ pub fn extract_episodes(parsed: &ParsedLog, cfg: &EpisodeConfig) -> Vec<Episode>
         let mut current: Vec<Event> = Vec::new();
         let flush = |current: &mut Vec<Event>, episodes: &mut Vec<Episode>| {
             if current.len() >= cfg.min_events {
-                episodes.push(Episode { node, events: std::mem::take(current) });
+                episodes.push(Episode {
+                    node,
+                    events: std::mem::take(current),
+                });
             } else {
                 current.clear();
             }
@@ -149,7 +152,10 @@ mod tests {
     #[test]
     fn short_runs_are_discarded() {
         let (parsed, _) = setup();
-        let cfg = EpisodeConfig { min_events: 4, ..EpisodeConfig::default() };
+        let cfg = EpisodeConfig {
+            min_events: 4,
+            ..EpisodeConfig::default()
+        };
         for ep in extract_episodes(&parsed, &cfg) {
             assert!(ep.events.len() >= 4);
         }

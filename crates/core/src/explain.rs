@@ -183,14 +183,12 @@ mod tests {
         let chains = extract_chains(&parsed_train, &cfg.episodes);
         let mut rng = Xoshiro256pp::seed_from_u64(701);
         let model = run_phase2(&chains, parsed_train.vocab_size(), &cfg.phase2, &mut rng);
-        let parsed_test =
-            parse_records_with_vocab(&test.records, parsed_train.vocab.clone());
+        let parsed_test = parse_records_with_vocab(&test.records, parsed_train.vocab.clone());
 
         let episodes = extract_episodes(&parsed_test, &cfg.episodes);
         let mut explained = 0;
         for ep in episodes.iter().take(10) {
-            let ex = explain_episode(ep, &chains, &model, &parsed_test)
-                .expect("chains available");
+            let ex = explain_episode(ep, &chains, &model, &parsed_test).expect("chains available");
             assert!(ex.nearest_chain < chains.len());
             assert!(ex.distance.is_finite());
             assert!(!ex.chain_templates.is_empty());
@@ -203,9 +201,9 @@ mod tests {
     fn nearest_chain_picks_minimum_and_skips_empty() {
         let ep = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let chains = vec![
-            vec![],                                     // empty: skipped
-            vec![vec![0.0, 1.0], vec![1.0, 0.0]],       // reversed
-            vec![vec![1.0, 0.0], vec![0.0, 1.0]],       // identical
+            vec![],                               // empty: skipped
+            vec![vec![0.0, 1.0], vec![1.0, 0.0]], // reversed
+            vec![vec![1.0, 0.0], vec![0.0, 1.0]], // identical
         ];
         let (idx, d) = nearest_chain(&ep, &chains).unwrap();
         assert_eq!(idx, 2);
@@ -230,17 +228,28 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(703);
         let model = run_phase2(&chains, parsed.vocab_size(), &cfg.phase2, &mut rng);
         let episodes = extract_episodes(&parsed, &cfg.episodes);
-        let ep = episodes.iter().find(|e| e.events.len() >= 2).expect("multi-event episode");
+        let ep = episodes
+            .iter()
+            .find(|e| e.events.len() >= 2)
+            .expect("multi-event episode");
         let ex = explain_episode(ep, &chains, &model, &parsed).unwrap();
 
         assert_eq!(ex.episode_templates.len(), ep.events.len());
         for (tmpl, ev) in ex.episode_templates.iter().zip(&ep.events) {
-            assert_eq!(*tmpl, parsed.template(ev.phrase), "episode evidence out of order");
+            assert_eq!(
+                *tmpl,
+                parsed.template(ev.phrase),
+                "episode evidence out of order"
+            );
         }
         let chain = &chains[ex.nearest_chain];
         assert_eq!(ex.chain_templates.len(), chain.events.len());
         for (tmpl, ev) in ex.chain_templates.iter().zip(&chain.events) {
-            assert_eq!(*tmpl, parsed.template(ev.phrase), "chain evidence out of order");
+            assert_eq!(
+                *tmpl,
+                parsed.template(ev.phrase),
+                "chain evidence out of order"
+            );
         }
         // And the underlying events really are time-ordered, so template
         // order == chronological order.

@@ -4,11 +4,11 @@
 //! [`IntakeServer`] accepts live log records — pushed in-process or as
 //! raw text lines over TCP — hash-partitions them by node id
 //! ([`crate::router::shard_of`]), and hands each shard's stream to a
-//! dedicated worker thread owning that shard's [`BatchDetector`]. A node's
-//! entire history lands on one shard, so carried recurrent state never
-//! migrates and needs no locks; per-shard results are bit-identical to a
-//! sequential detector over that shard's substream (the batch detector's
-//! test-gated contract).
+//! dedicated worker thread owning that shard's [`OnlineDetector`]. A
+//! node's entire history lands on one shard, so carried recurrent state
+//! never migrates and needs no locks; per-shard results are bit-identical
+//! to one record at a time through a single detector (the detector's
+//! test-gated contract: chunk size never changes an answer).
 //!
 //! Queues are bounded (`queue_depth`) with explicit backpressure:
 //!
@@ -24,14 +24,17 @@
 //! enqueue → worker drain) render on `/metrics` with proper Prometheus
 //! labels; wave occupancy lands in the shared `ingest.batch_size`
 //! histogram.
+//!
+//! TCP input is bounded: a line longer than [`MAX_LINE_BYTES`] is counted
+//! once as a parse error and skipped up to its newline, and the
+//! connection stays open.
 
-use crate::batch::BatchDetector;
-use crate::online::Warning;
+use crate::online::{OnlineDetector, Warning};
 use crate::router::shard_of;
 use desh_loggen::LogRecord;
 use desh_obs::{Counter, Gauge, LatencyHistogram, Telemetry};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -130,7 +133,7 @@ struct Inner {
 #[derive(Debug)]
 pub struct IntakeServer {
     inner: Arc<Inner>,
-    workers: Vec<JoinHandle<BatchDetector>>,
+    workers: Vec<JoinHandle<OnlineDetector>>,
     acceptors: Vec<JoinHandle<()>>,
 }
 
@@ -139,7 +142,7 @@ impl IntakeServer {
     /// Per-shard gauges and drop counters register in `telemetry` when it
     /// is enabled.
     pub fn start(
-        detectors: Vec<BatchDetector>,
+        detectors: Vec<OnlineDetector>,
         cfg: IntakeConfig,
         telemetry: &Telemetry,
     ) -> IntakeServer {
@@ -251,6 +254,9 @@ impl IntakeServer {
             .spawn(move || {
                 let mut conns: Vec<JoinHandle<()>> = Vec::new();
                 while !inner.shutdown.load(Ordering::Acquire) {
+                    // Finished connections are reaped as we go, so a
+                    // long-lived server holds handles only for live ones.
+                    conns.retain(|c| !c.is_finished());
                     match listener.accept() {
                         Ok((stream, _peer)) => {
                             stream
@@ -322,7 +328,7 @@ impl IntakeServer {
     /// Shut down: stop accepting, let workers drain their queues, and
     /// return the shard detectors (capture taps, counters, and resident
     /// state intact) for inspection or sealing.
-    pub fn stop(mut self) -> Vec<BatchDetector> {
+    pub fn stop(mut self) -> Vec<OnlineDetector> {
         self.inner.shutdown.store(true, Ordering::Release);
         for sq in &self.inner.queues {
             sq.state.lock().unwrap().closed = true;
@@ -363,14 +369,23 @@ impl Drop for IntakeServer {
 /// slow trickle can see while keeping lock traffic amortized.
 const CONN_FLUSH_EVERY: usize = 64;
 
+/// Longest line, in bytes without its newline, a connection accepts.
+/// Log records are a few hundred bytes; a longer line is counted once in
+/// the parse errors and skipped up to its newline, so a client that never
+/// sends one cannot grow the line buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// One TCP connection: buffered line reads, timeouts polled against the
 /// shutdown flag so `stop()` never hangs on an idle client. Parsed
 /// records batch into per-shard groups and flush every
 /// [`CONN_FLUSH_EVERY`] records — and on every read stall/EOF, so a
-/// quiet line still reaches its detector promptly.
+/// quiet line still reaches its detector promptly. Lines are capped at
+/// [`MAX_LINE_BYTES`].
 fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
+    // Inside an over-long line: its bytes are dropped up to the newline.
+    let mut skipping = false;
     let mut groups: Vec<Vec<LogRecord>> = (0..shards).map(|_| Vec::new()).collect();
     let mut pending = 0usize;
     let flush = |groups: &mut Vec<Vec<LogRecord>>, pending: &mut usize| {
@@ -390,8 +405,10 @@ fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
         // the next read appends the rest, so the buffer is cleared only
         // once a whole line (or the unterminated last one at EOF) is
         // handled. Raw bytes, not `read_line`: a stall inside a multi-byte
-        // character must not drop the half already read.
-        let eof = match reader.read_until(b'\n', &mut line) {
+        // character must not drop the half already read. A read never
+        // takes `line` past one byte over the cap.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        let eof = match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(n) => n == 0,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -405,8 +422,21 @@ fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
                 return;
             }
         };
+        if !eof && !line.ends_with(b"\n") {
+            // No newline within the cap: an over-long line, counted once
+            // and dropped up to its newline.
+            if line.len() > MAX_LINE_BYTES {
+                if !skipping {
+                    inner.parse_errors.fetch_add(1, Ordering::Relaxed);
+                }
+                skipping = true;
+                line.clear();
+            }
+            continue;
+        }
         let text = std::str::from_utf8(&line).map(|l| l.trim_end_matches(['\r', '\n']));
-        if text != Ok("") {
+        // The tail of an over-long line is dropped like its head.
+        if !std::mem::take(&mut skipping) && text != Ok("") {
             match text.ok().and_then(|l| l.parse::<LogRecord>().ok()) {
                 Some(r) => {
                     groups[shard_of(r.node, shards)].push(r);
@@ -467,7 +497,7 @@ fn push_group<I: IntoIterator<Item = LogRecord>>(inner: &Inner, shard: usize, re
 
 /// Shard worker: drain up to `batch_max` records, score them as one
 /// chunk (waves batch within it), publish warnings, update gauges.
-fn worker_loop(shard: usize, mut det: BatchDetector, inner: Arc<Inner>) -> BatchDetector {
+fn worker_loop(shard: usize, mut det: OnlineDetector, inner: Arc<Inner>) -> OnlineDetector {
     let sq = &inner.queues[shard];
     let mut chunk: Vec<LogRecord> = Vec::with_capacity(inner.cfg.batch_max);
     let mut warnings: Vec<Warning> = Vec::new();
@@ -533,7 +563,6 @@ fn worker_loop(shard: usize, mut det: BatchDetector, inner: Arc<Inner>) -> Batch
 mod tests {
     use super::*;
     use crate::config::DeshConfig;
-    use crate::online::OnlineDetector;
     use crate::pipeline::Desh;
     use desh_loggen::{generate, SystemProfile};
     use std::io::Write;
@@ -560,10 +589,10 @@ mod tests {
         cfg: &DeshConfig,
         shards: usize,
         telemetry: &Telemetry,
-    ) -> Vec<BatchDetector> {
+    ) -> Vec<OnlineDetector> {
         (0..shards)
             .map(|_| {
-                let mut d = BatchDetector::with_telemetry(
+                let mut d = OnlineDetector::with_telemetry(
                     t.lead_model.clone(),
                     t.parsed_train.vocab.clone(),
                     cfg.clone(),
@@ -773,6 +802,71 @@ mod tests {
         server.drain();
         assert_eq!(server.records_processed(), 1);
         assert_eq!(server.parse_errors(), 0);
+        server.stop();
+    }
+
+    #[test]
+    fn serving_path_feeds_the_score_latency_histogram() {
+        // The Fig-10 per-event cost is recorded on the sharded path too:
+        // one sample per scored event, whatever the wave width.
+        let (t, cfg, test) = trained(506);
+        let telemetry = Telemetry::enabled();
+        let server = IntakeServer::start(
+            shard_detectors(&t, &cfg, 2, &telemetry),
+            IntakeConfig::default(),
+            &telemetry,
+        );
+        server.push_records(test.records.iter().cloned());
+        server.drain();
+        server.stop();
+        let snap = telemetry.snapshot().unwrap();
+        let lat = snap.histogram("online.score_latency_us").unwrap();
+        let scored = snap.histogram("ingest.batch_size").unwrap().sum();
+        assert!(lat.count() > 0, "no scoring latency recorded");
+        assert_eq!(lat.count(), scored);
+    }
+
+    #[test]
+    fn over_long_line_is_one_parse_error_and_the_connection_survives() {
+        let (t, cfg, test) = trained(507);
+        let telemetry = Telemetry::disabled();
+        let mut server = IntakeServer::start(
+            shard_detectors(&t, &cfg, 2, &telemetry),
+            IntakeConfig::default(),
+            &telemetry,
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        server.serve_tcp(listener).unwrap();
+
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        let junk = vec![b'x'; 3 * MAX_LINE_BYTES];
+        conn.write_all(&junk).unwrap();
+        conn.flush().unwrap();
+        // The cap, not a newline, ends the line: the error is counted
+        // while the client is still inside it.
+        let t0 = Instant::now();
+        while server.parse_errors() < 1 && t0.elapsed() < Duration::from_secs(30) {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(
+            server.parse_errors(),
+            1,
+            "over-long line not cut at the cap"
+        );
+        conn.write_all(&junk).unwrap();
+        conn.write_all(b"\n").unwrap();
+        conn.write_all(format!("{}\n", test.records[0].to_raw_line()).as_bytes())
+            .unwrap();
+        conn.flush().unwrap();
+        drop(conn);
+
+        while server.records_processed() < 1 && t0.elapsed() < Duration::from_secs(30) {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        server.drain();
+        assert_eq!(server.records_processed(), 1);
+        assert_eq!(server.parse_errors(), 1);
         server.stop();
     }
 }

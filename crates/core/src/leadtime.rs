@@ -130,7 +130,7 @@ mod tests {
             verdict(Some(FailureClass::Mce), Some(150.0), true),
             verdict(Some(FailureClass::Mce), Some(170.0), true),
             verdict(Some(FailureClass::Panic), Some(60.0), true),
-            verdict(None, Some(100.0), true),          // FP: excluded
+            verdict(None, Some(100.0), true), // FP: excluded
             verdict(Some(FailureClass::Job), None, false), // FN: excluded
         ];
         let m = lead_by_class(&vs);

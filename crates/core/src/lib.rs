@@ -11,7 +11,6 @@
 //! * [`metrics`], [`leadtime`], [`classes`], [`unknown`] — the evaluation
 //!   machinery behind the paper's tables and figures.
 
-pub mod batch;
 pub mod chain;
 pub mod classes;
 pub mod config;
@@ -36,7 +35,6 @@ pub mod tuning;
 pub mod unknown;
 pub mod watchdog;
 
-pub use batch::BatchDetector;
 pub use chain::{extract_chains, ChainEvent, FailureChain};
 pub use classes::{classify_chain, classify_templates};
 pub use config::{DeshConfig, EpisodeConfig, Phase1Config, Phase2Config, Phase3Config};
@@ -49,7 +47,7 @@ pub use leadtime::{
 };
 pub use metrics::Confusion;
 pub use observe::{warning_record, EpochTelemetry};
-pub use online::{EvictionPolicy, OnlineDetector, Warning};
+pub use online::{BatchDetector, OnlineDetector, Warning, DEFAULT_MAX_NODES};
 pub use phase1::{run_phase1, run_phase1_session, run_phase1_telemetry, Phase1Output};
 pub use phase2::{
     chain_to_vectors, run_phase2, run_phase2_session, run_phase2_telemetry, LeadTimeModel,
@@ -66,7 +64,7 @@ pub use replay::{
 pub use report::{markdown_row, render};
 pub use router::{node_hash, shard_of};
 pub use session::{config_hash, dataset_fingerprint, LedgerObserver, RunSession};
-pub use shadow::{ShadowDetector, ShadowScorer};
+pub use shadow::ShadowScorer;
 pub use tuning::{calibrate, Calibration, OperatingPoint};
 pub use unknown::{unknown_contributions, PhraseContribution};
 pub use watchdog::{check_epoch, DivergenceReason, WatchdogConfig};

@@ -124,7 +124,12 @@ mod tests {
     use super::*;
 
     fn sample() -> Confusion {
-        Confusion { tp: 80, fp: 20, tn: 80, fnn: 20 }
+        Confusion {
+            tp: 80,
+            fp: 20,
+            tn: 80,
+            fnn: 20,
+        }
     }
 
     #[test]
@@ -140,7 +145,12 @@ mod tests {
 
     #[test]
     fn fn_rate_is_one_minus_recall() {
-        let c = Confusion { tp: 7, fp: 3, tn: 11, fnn: 5 };
+        let c = Confusion {
+            tp: 7,
+            fp: 3,
+            tn: 11,
+            fnn: 5,
+        };
         assert!((c.fn_rate() - (1.0 - c.recall())).abs() < 1e-12);
     }
 
@@ -151,7 +161,15 @@ mod tests {
         c.record(true, false);
         c.record(false, true);
         c.record(false, false);
-        assert_eq!(c, Confusion { tp: 1, fp: 1, tn: 1, fnn: 1 });
+        assert_eq!(
+            c,
+            Confusion {
+                tp: 1,
+                fp: 1,
+                tn: 1,
+                fnn: 1
+            }
+        );
     }
 
     #[test]
@@ -176,7 +194,14 @@ mod tests {
     #[test]
     fn summary_row_contains_all_metrics() {
         let row = sample().summary_row("M1");
-        for needle in ["recall", "precision", "accuracy", "F1", "FP-rate", "FN-rate"] {
+        for needle in [
+            "recall",
+            "precision",
+            "accuracy",
+            "F1",
+            "FP-rate",
+            "FN-rate",
+        ] {
             assert!(row.contains(needle), "{row}");
         }
     }

@@ -53,7 +53,8 @@ impl TrainObserver for EpochTelemetry<'_> {
             return;
         }
         self.telemetry.count(&format!("{}.epochs", self.prefix), 1);
-        self.telemetry.gauge_set(&format!("{}.epoch_loss", self.prefix), mean_loss);
+        self.telemetry
+            .gauge_set(&format!("{}.epoch_loss", self.prefix), mean_loss);
         self.telemetry.observe_us(
             &format!("{}.epoch_time_us", self.prefix),
             duration_us(elapsed),
@@ -72,7 +73,8 @@ impl TrainObserver for EpochTelemetry<'_> {
                 s.throughput(),
             );
         }
-        self.telemetry.count(&format!("{}.shard_windows", self.prefix), windows);
+        self.telemetry
+            .count(&format!("{}.shard_windows", self.prefix), windows);
     }
 
     fn on_grad_reduce(&mut self, elapsed: Duration) {
@@ -98,7 +100,11 @@ mod tests {
         obs.on_epoch(1, 1.0, Duration::from_micros(700));
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.counter("phase1.epochs"), Some(2));
-        assert_eq!(snap.gauge("phase1.epoch_loss"), Some(1.0), "gauge keeps last epoch");
+        assert_eq!(
+            snap.gauge("phase1.epoch_loss"),
+            Some(1.0),
+            "gauge keeps last epoch"
+        );
         let h = snap.histogram("phase1.epoch_time_us").unwrap();
         assert_eq!(h.count(), 2);
         assert!(h.quantile(0.5) >= 400.0);
@@ -111,8 +117,16 @@ mod tests {
         obs.on_shards(
             0,
             &[
-                ShardStats { shard: 0, windows: 30, busy: Duration::from_millis(10) },
-                ShardStats { shard: 1, windows: 20, busy: Duration::from_millis(10) },
+                ShardStats {
+                    shard: 0,
+                    windows: 30,
+                    busy: Duration::from_millis(10),
+                },
+                ShardStats {
+                    shard: 1,
+                    windows: 20,
+                    busy: Duration::from_millis(10),
+                },
             ],
         );
         obs.on_grad_reduce(Duration::from_micros(120));

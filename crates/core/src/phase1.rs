@@ -13,7 +13,9 @@ use crate::config::{DeshConfig, Phase1Config};
 use crate::observe::EpochTelemetry;
 use crate::session::RunSession;
 use desh_logparse::ParsedLog;
-use desh_nn::{Mat, NoopObserver, Optimizer, Sgd, SgnsConfig, SkipGram, TokenLstm, TrainConfig, TrainObserver};
+use desh_nn::{
+    Mat, NoopObserver, Optimizer, Sgd, SgnsConfig, SkipGram, TokenLstm, TrainConfig, TrainObserver,
+};
 use desh_obs::{DivergenceRecord, Telemetry};
 use desh_util::Xoshiro256pp;
 
@@ -99,7 +101,10 @@ pub fn run_phase1_session(
         .map(|(_, s)| s)
         .filter(|s| s.len() > p1.history)
         .collect();
-    assert!(!seqs.is_empty(), "no node sequence longer than the history size");
+    assert!(
+        !seqs.is_empty(),
+        "no node sequence longer than the history size"
+    );
     telemetry.count("phase1.sequences", seqs.len() as u64);
 
     let mut model = if p1.use_sgns {
@@ -130,13 +135,8 @@ pub fn run_phase1_session(
     let losses = match session.as_deref_mut() {
         Some(s) => {
             let mut obs = s.observer("phase1", telemetry);
-            let losses = model.train_observed(
-                &seqs,
-                &tcfg,
-                &mut opt as &mut dyn Optimizer,
-                rng,
-                &mut obs,
-            );
+            let losses =
+                model.train_observed(&seqs, &tcfg, &mut opt as &mut dyn Optimizer, rng, &mut obs);
             obs.finish();
             losses
         }
@@ -151,7 +151,7 @@ pub fn run_phase1_session(
             )
         }
     };
-    if let Some(d) = session.as_deref_mut().and_then(|s| s.diverged().cloned()) {
+    if let Some(d) = session.and_then(|s| s.diverged().cloned()) {
         return Err(d);
     }
 
@@ -163,7 +163,12 @@ pub fn run_phase1_session(
 
     let chains = extract_chains(parsed, &cfg.episodes);
     telemetry.count("phase1.chains", chains.len() as u64);
-    Ok(Phase1Output { model, chains, losses, accuracy_kstep })
+    Ok(Phase1Output {
+        model,
+        chains,
+        losses,
+        accuracy_kstep,
+    })
 }
 
 #[cfg(test)]
@@ -204,9 +209,17 @@ mod tests {
         // Phrases of one failure chain co-occur; a safe phrase does not.
         let d = generate(&SystemProfile::tiny(), 73);
         let parsed = parse_records(&d.records);
-        let seqs: Vec<Vec<u32>> = parsed.node_sequences().into_iter().map(|(_, s)| s).collect();
+        let seqs: Vec<Vec<u32>> = parsed
+            .node_sequences()
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect();
         let mut rng = Xoshiro256pp::seed_from_u64(73);
-        let cfg = SgnsConfig { dim: 12, epochs: 3, ..SgnsConfig::default() };
+        let cfg = SgnsConfig {
+            dim: 12,
+            epochs: 3,
+            ..SgnsConfig::default()
+        };
         let table = train_embeddings(&seqs, parsed.vocab_size(), &cfg, &mut rng);
         assert_eq!(table.rows(), parsed.vocab_size());
         assert!(table.data().iter().all(|x| x.is_finite()));

@@ -22,7 +22,7 @@ use crate::chain::FailureChain;
 use crate::config::Phase2Config;
 use crate::observe::EpochTelemetry;
 use crate::session::RunSession;
-use desh_nn::{Optimizer, RmsProp, TrainConfig, VectorLstm, VectorStream, VectorStreamBatch};
+use desh_nn::{Optimizer, RmsProp, TrainConfig, VectorLstm, VectorStreamBatch};
 use desh_obs::{DivergenceRecord, Telemetry};
 use desh_util::{Micros, Xoshiro256pp};
 
@@ -64,45 +64,11 @@ impl LeadTimeModel {
             .unwrap_or(0)
     }
 
-    /// Begin an incremental scoring stream for one node's event buffer.
-    pub fn begin_stream(&self) -> LeadStream {
-        LeadStream {
-            stream: self.net.begin_stream(),
-            last_time: None,
-            sum: 0.0,
-            transitions: 0,
-        }
-    }
-
-    /// Feed one `(timestamp, phrase)` event into a stream. Events are
-    /// gap-encoded (ΔT = seconds since the previous event in the stream;
-    /// zero for the first), advanced through the model by exactly one
-    /// cell step per layer, and folded into the running one-step-MSE
-    /// aggregate. Returns the raw (unscaled) MSE this event contributed,
-    /// `None` for the first event of a stream.
-    pub fn stream_push(&self, ls: &mut LeadStream, time: Micros, phrase: u32) -> Option<f64> {
-        let gap_secs = match ls.last_time {
-            Some(prev) => time.saturating_sub(prev).as_secs_f64(),
-            None => 0.0,
-        };
-        ls.last_time = Some(time);
-        let v = self.vectorize(gap_secs, phrase);
-        let score = self.net.stream_push(&mut ls.stream, &v);
-        if let Some(s) = score {
-            ls.sum += s;
-            ls.transitions += 1;
-        }
-        score
-    }
-
-    /// Mean raw one-step MSE accumulated by a stream, or `None` before
-    /// the first scored transition.
-    pub fn stream_mean(&self, ls: &LeadStream) -> Option<f64> {
-        (ls.transitions > 0).then(|| ls.sum / ls.transitions as f64)
-    }
-
-    /// Begin a slot-resident batch of `slots` scoring streams. Every slot
-    /// starts in the [`Self::begin_stream`] state.
+    /// Begin a slot-resident batch of `slots` incremental scoring streams,
+    /// one per node: each event is gap-encoded (ΔT = seconds since the
+    /// slot's previous event; zero for the first), advanced through the
+    /// model by one cell step per layer, and folded into the slot's
+    /// running one-step-MSE aggregate.
     pub fn begin_batch(&self, slots: usize) -> LeadBatch {
         LeadBatch {
             net: self.net.begin_stream_batch(slots),
@@ -131,10 +97,9 @@ impl LeadTimeModel {
     }
 
     /// Advance every staged slot in `rows` by one cell step per layer and
-    /// fold each slot's raw one-step MSE into its running aggregate —
-    /// [`Self::stream_push`] for a whole wave. `scores[i]` is the raw MSE
-    /// contributed by `rows[i]` (`None` for a slot's first event), exactly
-    /// what `stream_push` would have returned.
+    /// fold each slot's raw one-step MSE into its running aggregate.
+    /// `scores[i]` is the raw (unscaled) MSE contributed by `rows[i]`
+    /// (`None` for a slot's first event).
     pub fn batch_push_rows(
         &self,
         lb: &mut LeadBatch,
@@ -152,7 +117,7 @@ impl LeadTimeModel {
     }
 
     /// Mean raw one-step MSE accumulated by `slot`, or `None` before its
-    /// first scored transition — [`Self::stream_mean`] for a batch slot.
+    /// first scored transition.
     pub fn batch_mean(&self, lb: &LeadBatch, slot: usize) -> Option<f64> {
         let agg = &lb.slots[slot];
         (agg.transitions > 0).then(|| agg.sum / agg.transitions as f64)
@@ -160,9 +125,9 @@ impl LeadTimeModel {
 
     /// Batch reference for the incremental stream: gap-encode the whole
     /// buffer and re-run the model from zero state over every prefix.
-    /// O(n²) in the buffer length — this is what [`Self::stream_push`]
-    /// replaces on the hot path, kept as the replay oracle for tests and
-    /// the full re-scoring fallback.
+    /// O(n²) in the buffer length — this is what [`Self::batch_push_rows`]
+    /// replaces on the hot path, kept as the from-scratch oracle tests
+    /// compare it against.
     pub fn score_events_batch(&self, events: &[(Micros, u32)]) -> Vec<f64> {
         let mut seq = Vec::with_capacity(events.len());
         let mut prev: Option<Micros> = None;
@@ -178,28 +143,9 @@ impl LeadTimeModel {
     }
 }
 
-/// Carried scoring state for one node's event stream: the model's
-/// recurrent state, the previous event time (for gap encoding), and the
-/// running sum/count of one-step MSEs. Owning one of these is what makes
-/// the online detector O(1) per event.
-#[derive(Debug, Clone)]
-pub struct LeadStream {
-    stream: VectorStream,
-    last_time: Option<Micros>,
-    sum: f64,
-    transitions: usize,
-}
-
-impl LeadStream {
-    /// Number of scored transitions (events beyond the first).
-    pub fn transitions(&self) -> usize {
-        self.transitions
-    }
-}
-
-/// Per-slot stream aggregate carried by a [`LeadBatch`]: the same
-/// last-time/sum/transitions triple a [`LeadStream`] keeps, minus the
-/// recurrent state (which lives as a row of the shared batch).
+/// Per-slot stream aggregate carried by a [`LeadBatch`]: the previous
+/// event time (for gap encoding) and the running sum/count of one-step
+/// MSEs. The recurrent state lives as a row of the shared batch.
 #[derive(Debug, Clone, Copy, Default)]
 struct SlotAgg {
     last_time: Option<Micros>,
@@ -207,11 +153,12 @@ struct SlotAgg {
     transitions: usize,
 }
 
-/// A batch of [`LeadStream`]s sharing one slot-resident recurrent-state
+/// Incremental scoring streams sharing one slot-resident recurrent-state
 /// block: each node's carried state is a fixed row, so same-wave cell
 /// steps from different nodes advance together through the row-wise
-/// batched kernels. Scores and state are bit-identical to running one
-/// [`LeadStream`] per slot (test-gated).
+/// batched kernels. Every slot's scores are bit-identical to
+/// [`LeadTimeModel::score_events_batch`] over that slot's events
+/// (test-gated).
 #[derive(Debug)]
 pub struct LeadBatch {
     net: VectorStreamBatch,
@@ -219,17 +166,18 @@ pub struct LeadBatch {
 }
 
 impl LeadBatch {
-    /// Number of slots this batch was begun with.
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Number of scored transitions accumulated by `slot`.
     pub fn transitions(&self, slot: usize) -> usize {
         self.slots[slot].transitions
     }
 
-    /// Reset `slot` to the begin-stream state (zero recurrent state, no
+    /// Grow to `slots` slots; existing slots keep their state.
+    pub fn grow(&mut self, slots: usize) {
+        self.net.grow(slots);
+        self.slots.resize(slots, SlotAgg::default());
+    }
+
+    /// Reset `slot` to the fresh-stream state (zero recurrent state, no
     /// carried time or aggregate), leaving every other slot untouched.
     pub fn reset_slot(&mut self, slot: usize) {
         self.net.reset_slot(slot);
@@ -436,47 +384,52 @@ mod tests {
     }
 
     /// Drive interleaved per-node event sequences through a [`LeadBatch`]
-    /// (wave-batched) and through one sequential [`LeadStream`] per node;
-    /// every raw score, running mean, and transition count must agree
-    /// bit-for-bit, including across a mid-flight slot reset.
+    /// in waves; after every wave each slot's raw score, running mean and
+    /// transition count must equal, bit for bit, a from-scratch
+    /// [`LeadTimeModel::score_events_batch`] over the slot's events since
+    /// its last reset — including across a mid-flight slot reset.
     fn assert_lead_batch_matches_streams(m: &LeadTimeModel) {
         let slots = 4usize;
         let mut lb = m.begin_batch(slots);
-        let mut streams: Vec<LeadStream> = (0..slots).map(|_| m.begin_stream()).collect();
+        let mut events: Vec<Vec<(Micros, u32)>> = vec![Vec::new(); slots];
         let mut scores = Vec::new();
         let vocab = m.vocab_size as u32;
         for t in 0..7u64 {
             // Slot 1 resets mid-flight (a terminal or warning would do this).
             if t == 3 {
                 lb.reset_slot(1);
-                streams[1] = m.begin_stream();
+                events[1].clear();
             }
             // Slots drop in and out of waves: slot s skips ticks where
             // (t + s) % 3 == 0, so gap encodings differ per slot.
-            let rows: Vec<usize> = (0..slots).filter(|s| (t + *s as u64) % 3 != 0).collect();
-            let mut want = Vec::new();
+            let rows: Vec<usize> = (0..slots)
+                .filter(|s| !(t + *s as u64).is_multiple_of(3))
+                .collect();
             for &s in &rows {
                 let time = Micros::from_secs_f64(10.0 + t as f64 * 7.5 + s as f64);
-                let phrase = ((t as u32 * 5 + s as u32 * 3) % (vocab + 2)) as u32;
+                let phrase = (t as u32 * 5 + s as u32 * 3) % (vocab + 2);
                 m.batch_stage(&mut lb, s, time, phrase);
-                want.push(m.stream_push(&mut streams[s], time, phrase));
+                events[s].push((time, phrase));
             }
             m.batch_push_rows(&mut lb, &rows, &mut scores);
             assert_eq!(scores.len(), rows.len());
             for (i, &s) in rows.iter().enumerate() {
+                let want = m.score_events_batch(&events[s]).last().copied();
                 assert_eq!(
                     scores[i].map(f64::to_bits),
-                    want[i].map(f64::to_bits),
+                    want.map(f64::to_bits),
                     "slot {s} tick {t}"
                 );
             }
-            for s in 0..slots {
+            for (s, evs) in events.iter().enumerate() {
+                let all = m.score_events_batch(evs);
+                let mean = (!all.is_empty()).then(|| all.iter().sum::<f64>() / all.len() as f64);
                 assert_eq!(
                     m.batch_mean(&lb, s).map(f64::to_bits),
-                    m.stream_mean(&streams[s]).map(f64::to_bits),
+                    mean.map(f64::to_bits),
                     "slot {s} mean after tick {t}"
                 );
-                assert_eq!(lb.transitions(s), streams[s].transitions());
+                assert_eq!(lb.transitions(s), all.len());
             }
         }
     }

@@ -140,9 +140,7 @@ fn score_episode(
         if seen >= cfg.phase3.min_evidence && mean <= cfg.phase3.mse_threshold {
             // Flag after observing event index k+1 (transition k predicts
             // event k+1); remaining lead is that event's ΔT.
-            let lead = end
-                .saturating_sub(episode.events[k + 1].time)
-                .as_secs_f64();
+            let lead = end.saturating_sub(episode.events[k + 1].time).as_secs_f64();
             if let Some(w) = wf.as_deref_mut() {
                 w.mark(P3_STAGE_THRESHOLD);
             }
@@ -154,7 +152,7 @@ fn score_episode(
     } else {
         scores.iter().sum::<f64>() / scores.len() as f64
     };
-    if let Some(w) = wf.as_deref_mut() {
+    if let Some(w) = wf {
         w.mark(P3_STAGE_THRESHOLD);
     }
     (false, mean, None)
@@ -162,15 +160,10 @@ fn score_episode(
 
 /// Match an episode to ground truth: a failure whose terminal time is the
 /// episode end (within slack).
-fn match_truth(
-    episode: &Episode,
-    truth: &[GroundTruthFailure],
-) -> Option<FailureClass> {
+fn match_truth(episode: &Episode, truth: &[GroundTruthFailure]) -> Option<FailureClass> {
     truth
         .iter()
-        .find(|f| {
-            f.node == episode.node && f.time.abs_diff(episode.end()).as_secs_f64() < 5.0
-        })
+        .find(|f| f.node == episode.node && f.time.abs_diff(episode.end()).as_secs_f64() < 5.0)
         .map(|f| f.class)
 }
 
@@ -231,7 +224,10 @@ pub fn run_phase3_profiled(
         })
         .collect();
     telemetry.count("phase3.episodes", episodes.len() as u64);
-    telemetry.count("phase3.excluded_maintenance", (before - episodes.len()) as u64);
+    telemetry.count(
+        "phase3.excluded_maintenance",
+        (before - episodes.len()) as u64,
+    );
     telemetry.gauge_set("phase3.workers", rayon::current_num_threads() as f64);
 
     let score_hist = telemetry.histogram_handle("phase3.episode_score_us");
@@ -289,8 +285,14 @@ pub fn run_phase3_profiled(
             }
         }
     }
-    telemetry.count("phase3.flagged", verdicts.iter().filter(|v| v.flagged).count() as u64);
-    Phase3Output { verdicts, confusion }
+    telemetry.count(
+        "phase3.flagged",
+        verdicts.iter().filter(|v| v.flagged).count() as u64,
+    );
+    Phase3Output {
+        verdicts,
+        confusion,
+    }
 }
 
 #[cfg(test)]
@@ -357,7 +359,11 @@ mod tests {
         let d = generate(&p, 94);
         let parsed = parse_records(&d.records);
         let windows = maintenance_windows(&parsed, 8);
-        assert_eq!(windows.len(), 1, "one maintenance event should yield one window");
+        assert_eq!(
+            windows.len(),
+            1,
+            "one maintenance event should yield one window"
+        );
         // No episodes survive the maintenance filter in a failure-free run.
         let cfg = DeshConfig::fast();
         let eps: Vec<_> = extract_episodes(&parsed, &cfg.episodes)
@@ -368,7 +374,11 @@ mod tests {
                     .any(|(lo, hi)| ep.end() >= *lo && ep.start() <= *hi)
             })
             .collect();
-        assert!(eps.is_empty(), "{} episodes leaked through maintenance filter", eps.len());
+        assert!(
+            eps.is_empty(),
+            "{} episodes leaked through maintenance filter",
+            eps.len()
+        );
     }
 
     #[test]
@@ -402,8 +412,7 @@ mod tests {
         );
         // Profiling is observation-only.
         assert_eq!(plain.verdicts.len(), profiled.verdicts.len());
-        let flags =
-            |o: &Phase3Output| o.verdicts.iter().filter(|v| v.flagged).count();
+        let flags = |o: &Phase3Output| o.verdicts.iter().filter(|v| v.flagged).count();
         assert_eq!(flags(&plain), flags(&profiled));
 
         assert_eq!(profiler.events_seen() as usize, profiled.verdicts.len());

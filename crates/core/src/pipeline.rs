@@ -5,7 +5,7 @@ use crate::chain::FailureChain;
 use crate::config::DeshConfig;
 use crate::leadtime::{lead_by_class, lead_overall, observation4, recall_by_class};
 use crate::metrics::Confusion;
-use crate::online::OnlineDetector;
+use crate::online::{OnlineDetector, DEFAULT_MAX_NODES};
 use crate::phase1::{run_phase1_session, run_phase1_telemetry, Phase1Output};
 use crate::phase2::{run_phase2_session, run_phase2_telemetry, LeadTimeModel};
 use crate::phase3::{run_phase3_telemetry, Verdict};
@@ -73,6 +73,7 @@ impl TrainedDesh {
             self.lead_model.clone(),
             self.parsed_train.vocab.clone(),
             cfg,
+            DEFAULT_MAX_NODES,
             telemetry,
         );
         det.attach_chains(&self.phase1.chains);
@@ -84,7 +85,11 @@ impl Desh {
     /// New pipeline with the given configuration and seed. Telemetry is
     /// disabled; opt in with [`Desh::with_telemetry`].
     pub fn new(cfg: DeshConfig, seed: u64) -> Self {
-        Self { cfg, seed, telemetry: Telemetry::disabled() }
+        Self {
+            cfg,
+            seed,
+            telemetry: Telemetry::disabled(),
+        }
     }
 
     /// Attach a telemetry handle; phases record spans and metrics into it.
@@ -114,7 +119,11 @@ impl Desh {
             &mut rng,
             &self.telemetry,
         );
-        TrainedDesh { phase1, lead_model, parsed_train }
+        TrainedDesh {
+            phase1,
+            lead_model,
+            parsed_train,
+        }
     }
 
     /// Evaluate a trained pipeline on a test dataset. The test split is
@@ -192,7 +201,11 @@ impl Desh {
             &self.telemetry,
             Some(session),
         )?;
-        Ok(TrainedDesh { phase1, lead_model, parsed_train })
+        Ok(TrainedDesh {
+            phase1,
+            lead_model,
+            parsed_train,
+        })
     }
 
     /// The end-of-run metrics written into a ledger's `run.json`:
@@ -259,7 +272,11 @@ mod tests {
         let d = generate(&p, 111);
         let desh = Desh::new(DeshConfig::fast(), 111);
         let report = desh.run(&d);
-        assert!(report.chains_trained >= 3, "chains {}", report.chains_trained);
+        assert!(
+            report.chains_trained >= 3,
+            "chains {}",
+            report.chains_trained
+        );
         assert!(report.confusion.total() > 0);
         // With a trained model the pipeline must catch a majority of test
         // failures even in the fast configuration.
@@ -290,12 +307,20 @@ mod tests {
             "span.evaluate.parse_us",
             "span.evaluate.phase3_us",
         ] {
-            let h = snap.histogram(span).unwrap_or_else(|| panic!("missing {span}"));
+            let h = snap
+                .histogram(span)
+                .unwrap_or_else(|| panic!("missing {span}"));
             assert_eq!(h.count(), 1, "{span}");
         }
         // Phase counters reflect the report.
-        assert_eq!(snap.counter("phase1.chains"), Some(report.chains_trained as u64));
-        assert_eq!(snap.counter("phase2.chains"), Some(report.chains_trained as u64));
+        assert_eq!(
+            snap.counter("phase1.chains"),
+            Some(report.chains_trained as u64)
+        );
+        assert_eq!(
+            snap.counter("phase2.chains"),
+            Some(report.chains_trained as u64)
+        );
         assert_eq!(
             snap.counter("phase3.episodes"),
             Some(report.verdicts.len() as u64)
@@ -326,15 +351,29 @@ mod tests {
         );
         // Labelled verdicts fed the quality monitor: the rolling confusion
         // counters agree with the report's aggregate.
-        assert_eq!(snap.counter("quality.confusion.tp"), Some(report.confusion.tp));
-        assert_eq!(snap.counter("quality.confusion.fp"), Some(report.confusion.fp));
-        assert_eq!(snap.counter("quality.confusion.fn"), Some(report.confusion.fnn));
-        assert_eq!(snap.counter("quality.confusion.tn"), Some(report.confusion.tn));
+        assert_eq!(
+            snap.counter("quality.confusion.tp"),
+            Some(report.confusion.tp)
+        );
+        assert_eq!(
+            snap.counter("quality.confusion.fp"),
+            Some(report.confusion.fp)
+        );
+        assert_eq!(
+            snap.counter("quality.confusion.fn"),
+            Some(report.confusion.fnn)
+        );
+        assert_eq!(
+            snap.counter("quality.confusion.tn"),
+            Some(report.confusion.tn)
+        );
         let recall = snap.gauge("quality.recall").unwrap();
         assert!((recall - report.confusion.recall()).abs() < 1e-12);
         // Flagged true positives landed per-class lead-time series.
         assert!(
-            snap.hists.iter().any(|(k, _)| k.starts_with("quality.lead_secs[class=")),
+            snap.hists
+                .iter()
+                .any(|(k, _)| k.starts_with("quality.lead_secs[class=")),
             "no per-class lead histograms"
         );
     }

@@ -121,7 +121,11 @@ fn f64_delta(field: &'static str, cap: f64, rep: f64) -> FieldDelta {
     }
 }
 
-fn plain_delta(field: &'static str, cap: impl std::fmt::Display, rep: impl std::fmt::Display) -> FieldDelta {
+fn plain_delta(
+    field: &'static str,
+    cap: impl std::fmt::Display,
+    rep: impl std::fmt::Display,
+) -> FieldDelta {
     FieldDelta {
         field,
         captured: cap.to_string(),
@@ -152,7 +156,11 @@ pub fn trace_deltas(cap: &TraceEvent, rep: &TraceEvent) -> Vec<FieldDelta> {
         out.push(plain_delta("transitions", cap.transitions, rep.transitions));
     }
     if cap.min_evidence != rep.min_evidence {
-        out.push(plain_delta("min_evidence", cap.min_evidence, rep.min_evidence));
+        out.push(plain_delta(
+            "min_evidence",
+            cap.min_evidence,
+            rep.min_evidence,
+        ));
     }
     if cap.replayed != rep.replayed {
         out.push(plain_delta("path", cap.replayed, rep.replayed));
@@ -161,7 +169,11 @@ pub fn trace_deltas(cap: &TraceEvent, rep: &TraceEvent) -> Vec<FieldDelta> {
         out.push(plain_delta("warned", cap.warned, rep.warned));
     }
     if cap.matched_chain != rep.matched_chain {
-        out.push(plain_delta("matched_chain", cap.matched_chain, rep.matched_chain));
+        out.push(plain_delta(
+            "matched_chain",
+            cap.matched_chain,
+            rep.matched_chain,
+        ));
     }
     out
 }
@@ -175,7 +187,11 @@ fn warning_deltas(cap: &WarningRecord, rep: &WarningRecord) -> Vec<FieldDelta> {
         out.push(plain_delta("at_us", cap.at_us, rep.at_us));
     }
     for (field, c, r) in [
-        ("predicted_lead_secs", cap.predicted_lead_secs, rep.predicted_lead_secs),
+        (
+            "predicted_lead_secs",
+            cap.predicted_lead_secs,
+            rep.predicted_lead_secs,
+        ),
         ("score", cap.score, rep.score),
         ("chain_distance", cap.chain_distance, rep.chain_distance),
     ] {
@@ -187,7 +203,11 @@ fn warning_deltas(cap: &WarningRecord, rep: &WarningRecord) -> Vec<FieldDelta> {
         out.push(plain_delta("class", &cap.class, &rep.class));
     }
     if cap.matched_chain != rep.matched_chain {
-        out.push(plain_delta("matched_chain", cap.matched_chain, rep.matched_chain));
+        out.push(plain_delta(
+            "matched_chain",
+            cap.matched_chain,
+            rep.matched_chain,
+        ));
     }
     if cap.evidence != rep.evidence {
         out.push(plain_delta(

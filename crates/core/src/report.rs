@@ -46,7 +46,11 @@ pub fn render(report: &DeshReport) -> String {
         "observation 4: per-class sd {:.1}s vs overall sd {:.1}s ({})",
         class_sd,
         overall_sd,
-        if class_sd < overall_sd { "holds" } else { "violated" }
+        if class_sd < overall_sd {
+            "holds"
+        } else {
+            "violated"
+        }
     );
     let flagged = report.verdicts.iter().filter(|v| v.flagged).count();
     let _ = writeln!(

@@ -29,8 +29,7 @@ use bytes::Bytes;
 use desh_loggen::LogRecord;
 use desh_nn::{nonfinite_grad_count, shard_count, ParamStats, ShardStats, TrainObserver};
 use desh_obs::{
-    fnv1a, now_unix_ms, DivergenceRecord, EpochRecord, LayerStat, RunLedger, RunManifest,
-    Telemetry,
+    fnv1a, now_unix_ms, DivergenceRecord, EpochRecord, LayerStat, RunLedger, RunManifest, Telemetry,
 };
 use std::io;
 use std::path::Path;
@@ -50,7 +49,13 @@ pub fn dataset_fingerprint(records: &[LogRecord]) -> String {
     };
     for r in records {
         step(&r.time.0.to_le_bytes());
-        step(&[r.node.cab_x, r.node.cab_y, r.node.chassis, r.node.slot, r.node.node]);
+        step(&[
+            r.node.cab_x,
+            r.node.cab_y,
+            r.node.chassis,
+            r.node.slot,
+            r.node.node,
+        ]);
         step(r.text.as_bytes());
     }
     format!("ds-{:016x}-n{}", h, records.len())
@@ -83,12 +88,7 @@ impl RunSession {
     /// Create a session (and its ledger directory) under `root`. The
     /// manifest snapshots the seed, shard/thread environment, dataset
     /// fingerprint, and the key config fields.
-    pub fn create(
-        root: &Path,
-        seed: u64,
-        cfg: &DeshConfig,
-        dataset: String,
-    ) -> io::Result<Self> {
+    pub fn create(root: &Path, seed: u64, cfg: &DeshConfig, dataset: String) -> io::Result<Self> {
         let run_id = format!("run-{}-s{}", now_unix_ms(), seed);
         Self::create_with_id(root, run_id, seed, cfg, dataset)
     }
@@ -121,7 +121,10 @@ impl RunSession {
                 ("phase2.hidden".into(), p2.hidden.to_string()),
                 ("phase2.epochs".into(), p2.epochs.to_string()),
                 ("phase2.lr".into(), p2.lr.to_string()),
-                ("phase3.mse_threshold".into(), cfg.phase3.mse_threshold.to_string()),
+                (
+                    "phase3.mse_threshold".into(),
+                    cfg.phase3.mse_threshold.to_string(),
+                ),
             ],
         };
         Ok(Self {
@@ -298,7 +301,11 @@ impl LedgerObserver<'_> {
             epoch: cur.epoch,
             loss: cur.loss,
             wall_us: cur.wall_us,
-            grad_norm: if grad_norm.is_finite() { grad_norm } else { f64::NAN },
+            grad_norm: if grad_norm.is_finite() {
+                grad_norm
+            } else {
+                f64::NAN
+            },
             grad_reduce_us: if cur.reduce_n > 0 {
                 cur.reduce_us_sum / cur.reduce_n as f64
             } else {
@@ -381,8 +388,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("desh-session-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("desh-session-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -399,14 +405,8 @@ mod tests {
     }
 
     fn session(root: &Path, id: &str) -> RunSession {
-        RunSession::create_with_id(
-            root,
-            id.into(),
-            7,
-            &DeshConfig::fast(),
-            "ds-test".into(),
-        )
-        .unwrap()
+        RunSession::create_with_id(root, id.into(), 7, &DeshConfig::fast(), "ds-test".into())
+            .unwrap()
     }
 
     #[test]

@@ -99,7 +99,12 @@ mod tests {
     use desh_logparse::{parse_records, parse_records_with_vocab};
     use desh_util::Xoshiro256pp;
 
-    fn setup() -> (LeadTimeModel, ParsedLog, Vec<GroundTruthFailure>, DeshConfig) {
+    fn setup() -> (
+        LeadTimeModel,
+        ParsedLog,
+        Vec<GroundTruthFailure>,
+        DeshConfig,
+    ) {
         let mut p = SystemProfile::tiny();
         p.failures = 30;
         p.nodes = 24;
@@ -135,7 +140,11 @@ mod tests {
         assert!(chosen.fp_rate <= 0.35);
         assert!(chosen.recall >= 0.5);
         // It is the longest-lead feasible point.
-        for p in cal.points.iter().filter(|p| p.fp_rate <= 0.35 && p.recall >= 0.5) {
+        for p in cal
+            .points
+            .iter()
+            .filter(|p| p.fp_rate <= 0.35 && p.recall >= 0.5)
+        {
             assert!(p.mean_lead_secs <= chosen.mean_lead_secs + 1e-9);
         }
     }

@@ -111,7 +111,10 @@ mod tests {
                 c.template
             );
         }
-        assert!(contributions.len() >= 10, "too few unknown phrases analysed");
+        assert!(
+            contributions.len() >= 10,
+            "too few unknown phrases analysed"
+        );
     }
 
     #[test]
@@ -134,7 +137,10 @@ mod tests {
         assert!(lustre > 35.0, "LustreError contribution {lustre:.0}%");
         assert!(dvs > 35.0, "DVS contribution {dvs:.0}%");
         if aer >= 0.0 {
-            assert!(aer < lustre, "AER {aer:.0}% should trail Lustre {lustre:.0}%");
+            assert!(
+                aer < lustre,
+                "AER {aer:.0}% should trail Lustre {lustre:.0}%"
+            );
         }
         if trap >= 0.0 {
             assert!(trap < dvs, "Trap {trap:.0}% should trail DVS {dvs:.0}%");

@@ -15,7 +15,11 @@ use desh_util::Xoshiro256pp;
 #[test]
 fn two_shard_training_populates_shard_gauges_and_reduce_histogram() {
     std::env::set_var("DESH_SHARDS", "2");
-    assert_eq!(desh_nn::shard_count(), 2, "override must land before first use");
+    assert_eq!(
+        desh_nn::shard_count(),
+        2,
+        "override must land before first use"
+    );
 
     let t = Telemetry::enabled();
     let mut rng = Xoshiro256pp::seed_from_u64(9);
@@ -23,7 +27,12 @@ fn two_shard_training_populates_shard_gauges_and_reduce_histogram() {
         .map(|off| (0..24).map(|i| ((i + off) as u32) % 5).collect())
         .collect();
     let mut m = TokenLstm::new(5, 4, 8, 1, &mut rng);
-    let cfg = TrainConfig { history: 4, batch: 8, epochs: 2, clip: 5.0 };
+    let cfg = TrainConfig {
+        history: 4,
+        batch: 8,
+        epochs: 2,
+        clip: 5.0,
+    };
     let mut opt = Sgd::new(0.1);
     let mut obs = EpochTelemetry::new(&t, "phase1");
     m.train_observed(&seqs, &cfg, &mut opt, &mut rng, &mut obs);

@@ -49,9 +49,7 @@ pub use embedding::Embedding;
 pub use gru::{GruLayer, GruScratch};
 pub use lstm::{LstmLayer, LstmScratch, LstmState};
 pub use mat::Mat;
-pub use models::{
-    ScoreWorkspace, TokenLstm, TrainConfig, VectorLstm, VectorStream, VectorStreamBatch,
-};
+pub use models::{ScoreWorkspace, TokenLstm, TrainConfig, VectorLstm, VectorStreamBatch};
 pub use observe::{NoopObserver, ParamStats, RecordingObserver, ShardStats, TrainObserver};
 pub use optim::{nonfinite_grad_count, Adam, Optimizer, RmsProp, Sgd};
 pub use parallel::{shard_count, GradSet};

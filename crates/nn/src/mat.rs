@@ -449,6 +449,13 @@ impl Mat {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
+    /// Change the row count in place, keeping the leading rows' contents
+    /// and zero-filling any rows added.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.cols, 0.0);
+        self.rows = rows;
+    }
+
     /// Reshape in place to `(rows, cols)`, reusing the allocation and
     /// zeroing the contents. Grows the backing vector only when the new
     /// shape needs more elements than ever seen before.

@@ -778,38 +778,12 @@ impl VectorLstm {
         self.score_sequence_ws(seq, history, &mut sw)
     }
 
-    /// Begin a carried-state streaming pass (DeepLog-style): the recurrent
-    /// state persists across pushes, so each new sample costs exactly one
-    /// cell step per layer instead of a windowed re-run.
-    pub fn begin_stream(&self) -> VectorStream {
-        VectorStream {
-            states: self.net.zero_states(1),
-            ws: StackedScratch::new(),
-            x: Mat::zeros(1, self.dim),
-            pred: vec![0.0; self.dim],
-            steps: 0,
-        }
-    }
-
-    /// Feed the next sample of a stream. Returns the one-step-ahead MSE of
-    /// the previous prediction against this sample (`None` on the first
-    /// push, which has no prediction to judge). Allocation-free once the
-    /// stream's buffers are warm.
-    pub fn stream_push(&self, st: &mut VectorStream, sample: &[f32]) -> Option<f64> {
-        assert_eq!(sample.len(), self.dim, "sample width mismatch");
-        let score = (st.steps > 0).then(|| mse_vec(&st.pred, sample));
-        st.x.row_mut(0).copy_from_slice(sample);
-        let y = self.net.step_infer_ws(&st.x, &mut st.states, &mut st.ws);
-        st.pred.copy_from_slice(y.row(0));
-        st.steps += 1;
-        score
-    }
-
-    /// Begin a slot-resident batched streaming pass: `slots` independent
-    /// carried-state streams living as rows of shared state matrices. A
-    /// fleet shard parks one node per slot and steps only the rows with a
-    /// live event each wave via [`VectorLstm::stream_push_rows`] — no
-    /// per-event gather/scatter of recurrent state.
+    /// Begin a slot-resident streaming pass (DeepLog-style carried
+    /// state): `slots` independent streams living as rows of shared state
+    /// matrices. A detector parks one node per slot and steps only the
+    /// rows with a live event each wave via [`VectorLstm::stream_push_rows`]
+    /// — each new sample costs one cell step per layer, with no per-event
+    /// gather/scatter of recurrent state.
     pub fn begin_stream_batch(&self, slots: usize) -> VectorStreamBatch {
         VectorStreamBatch {
             states: self.net.zero_states(slots),
@@ -823,10 +797,10 @@ impl VectorLstm {
     /// Feed one staged sample per listed slot, batched. Callers stage each
     /// slot's sample into [`VectorStreamBatch::input_row_mut`] first;
     /// `scores` is cleared and refilled with one entry per entry of
-    /// `rows`, in order — the same one-step-ahead MSE a sequential
-    /// [`VectorLstm::stream_push`] of that slot's stream would return
-    /// (`None` on a slot's first push). Every slot's scores, predictions,
-    /// and recurrent state are bit-identical to the sequential path; see
+    /// `rows`, in order: the one-step-ahead MSE of the slot's previous
+    /// prediction against the staged sample (`None` on a slot's first
+    /// push). Every slot's scores are bit-identical to the from-scratch
+    /// [`VectorLstm::score_stream_batch`] over that slot's samples; see
     /// the `stream_push_rows_bit_identical_to_streams` test.
     pub fn stream_push_rows(
         &self,
@@ -850,7 +824,8 @@ impl VectorLstm {
     /// Batch reference for the streaming scorer: for every position `t`,
     /// re-run the net from zero state over the full prefix `..=t` and
     /// score its prediction of sample `t+1`. O(n²) — exists so tests can
-    /// prove [`VectorLstm::stream_push`] matches a from-scratch recompute.
+    /// prove [`VectorLstm::stream_push_rows`] matches a from-scratch
+    /// recompute.
     pub fn score_stream_batch(&self, seq: &[Vec<f32>]) -> Vec<f64> {
         let mut scores = Vec::with_capacity(seq.len().saturating_sub(1));
         for t in 1..seq.len() {
@@ -876,38 +851,10 @@ pub struct ScoreWorkspace {
     y: Mat,
 }
 
-/// Carried state for a [`VectorLstm`] streaming pass: recurrent states,
-/// gate scratch, input staging, and the pending next-sample prediction.
-#[derive(Debug, Clone)]
-pub struct VectorStream {
-    states: Vec<LstmState>,
-    ws: StackedScratch,
-    x: Mat,
-    pred: Vec<f32>,
-    steps: usize,
-}
-
-impl VectorStream {
-    /// Number of samples pushed so far.
-    pub fn len(&self) -> usize {
-        self.steps
-    }
-
-    /// True when no samples have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.steps == 0
-    }
-
-    /// The model's current prediction of the *next* sample (zeros before
-    /// the first push).
-    pub fn prediction(&self) -> &[f32] {
-        &self.pred
-    }
-}
-
 /// Slot-resident carried state for a batched [`VectorLstm`] streaming
-/// pass: row `s` of every matrix belongs to stream slot `s`. Fixed
-/// capacity; callers recycle slots with [`VectorStreamBatch::reset_slot`].
+/// pass: row `s` of every matrix belongs to stream slot `s`. Callers
+/// recycle slots with [`VectorStreamBatch::reset_slot`] and add rows with
+/// [`VectorStreamBatch::grow`].
 #[derive(Debug, Clone)]
 pub struct VectorStreamBatch {
     states: Vec<LstmState>,
@@ -929,25 +876,27 @@ impl VectorStreamBatch {
         self.x.row_mut(slot)
     }
 
-    /// Samples pushed through `slot` so far.
-    pub fn len(&self, slot: usize) -> usize {
-        self.steps[slot]
-    }
-
-    /// True when `slot` has seen no samples since its last reset.
-    pub fn is_empty(&self, slot: usize) -> bool {
-        self.steps[slot] == 0
-    }
-
     /// The model's current prediction of `slot`'s next sample (zeros
     /// before the slot's first push).
     pub fn prediction(&self, slot: usize) -> &[f32] {
         self.preds.row(slot)
     }
 
+    /// Grow to `slots` rows. Existing rows keep their state and any staged
+    /// sample; new rows start in the fresh-stream state.
+    pub fn grow(&mut self, slots: usize) {
+        assert!(slots >= self.slots(), "a stream batch never shrinks");
+        for st in &mut self.states {
+            st.h.resize_rows(slots);
+            st.c.resize_rows(slots);
+        }
+        self.x.resize_rows(slots);
+        self.preds.resize_rows(slots);
+        self.steps.resize(slots, 0);
+    }
+
     /// Return `slot` to the fresh-stream state (recurrent rows zeroed,
-    /// step count cleared) so a new node can take it over. Bit-identical
-    /// to handing the node a fresh [`VectorLstm::begin_stream`].
+    /// step count cleared) so a new node can take it over.
     pub fn reset_slot(&mut self, slot: usize) {
         for st in &mut self.states {
             st.h.row_mut(slot).fill(0.0);
@@ -1304,31 +1253,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_push_matches_batch_replay() {
-        // Carried-state streaming must agree with re-running the net from
-        // zero state over every prefix.
-        let mut rng = Xoshiro256pp::seed_from_u64(10);
-        let m = VectorLstm::new(2, 8, 2, &mut rng);
-        let seq = &countdown_seqs(1, 14)[0];
-        let batch = m.score_stream_batch(seq);
-        let mut st = m.begin_stream();
-        assert!(st.is_empty());
-        let mut streamed = Vec::new();
-        for sample in seq {
-            if let Some(s) = m.stream_push(&mut st, sample) {
-                streamed.push(s);
-            }
-        }
-        assert_eq!(st.len(), seq.len());
-        assert_eq!(streamed, batch);
-        assert!(st.prediction().iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
     fn stream_push_rows_bit_identical_to_streams() {
-        // A slot-resident batch stepped in waves must reproduce each
-        // slot's sequential stream bitwise: scores, predictions, and a
-        // mid-flight reset.
+        // A slot-resident batch stepped in waves must reproduce, bit for
+        // bit, a from-scratch recompute of each slot's samples: scores,
+        // the pending prediction, a mid-flight reset, and rows added by
+        // growing the batch while other rows carry state.
         let mut rng = Xoshiro256pp::seed_from_u64(11);
         let m = VectorLstm::new(3, 8, 2, &mut rng);
         let slots = 4usize;
@@ -1339,20 +1268,27 @@ mod tests {
                     .collect()
             })
             .collect();
+        // Slot 3 exists only once the batch grows, at tick 2.
+        let start = |s: usize| if s == 3 { 2 } else { 0 };
 
-        let mut sb = m.begin_stream_batch(slots);
+        let mut sb = m.begin_stream_batch(slots - 1);
         let mut wave_scores = Vec::new();
         let mut batched: Vec<Vec<Option<f64>>> = vec![Vec::new(); slots];
-        let max_t = seqs.iter().map(|s| s.len()).max().unwrap();
+        let max_t = (0..slots).map(|s| start(s) + seqs[s].len()).max().unwrap();
         for t in 0..max_t {
+            if t == 2 {
+                sb.grow(slots);
+            }
             // Slot 2 is recycled after its 3rd event, as if its node was
             // evicted and a fresh one took the slot over.
             if t == 3 {
                 sb.reset_slot(2);
             }
-            let rows: Vec<usize> = (0..slots).filter(|&s| t < seqs[s].len()).collect();
+            let rows: Vec<usize> = (0..slots.min(sb.slots()))
+                .filter(|&s| t >= start(s) && t - start(s) < seqs[s].len())
+                .collect();
             for &s in &rows {
-                sb.input_row_mut(s).copy_from_slice(&seqs[s][t]);
+                sb.input_row_mut(s).copy_from_slice(&seqs[s][t - start(s)]);
             }
             m.stream_push_rows(&mut sb, &rows, &mut wave_scores);
             for (&s, sc) in rows.iter().zip(&wave_scores) {
@@ -1361,19 +1297,34 @@ mod tests {
         }
 
         for s in 0..slots {
-            let mut st = m.begin_stream();
+            let segments = if s == 2 {
+                vec![&seqs[s][..3], &seqs[s][3..]]
+            } else {
+                vec![&seqs[s][..]]
+            };
             let mut want = Vec::new();
-            for (t, sample) in seqs[s].iter().enumerate() {
-                if s == 2 && t == 3 {
-                    st = m.begin_stream();
-                }
-                want.push(m.stream_push(&mut st, sample));
+            for seg in &segments {
+                want.push(None);
+                want.extend(m.score_stream_batch(seg).into_iter().map(Some));
             }
-            assert_eq!(batched[s], want, "slot {s} scores diverged");
+            let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+                v.iter().map(|x| x.map(f64::to_bits)).collect()
+            };
+            assert_eq!(bits(&batched[s]), bits(&want), "slot {s} scores diverged");
+            let last = segments.last().unwrap();
+            let xs: Vec<Mat> = last
+                .iter()
+                .map(|v| Mat::from_vec(1, 3, v.clone()))
+                .collect();
             let pb: Vec<u32> = sb.prediction(s).iter().map(|x| x.to_bits()).collect();
-            let ps: Vec<u32> = st.prediction().iter().map(|x| x.to_bits()).collect();
+            let ps: Vec<u32> = m
+                .net
+                .infer(&xs)
+                .row(0)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
             assert_eq!(pb, ps, "slot {s} prediction diverged");
-            assert_eq!(sb.len(s), st.len());
         }
     }
 }

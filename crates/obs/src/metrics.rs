@@ -47,6 +47,24 @@ impl Gauge {
         self.touched.store(true, Ordering::Release);
     }
 
+    /// Add `delta` atomically. Writers that each own a share of one total
+    /// (detector shards on a shared registry) publish their changes with
+    /// this, so no writer overwrites another's share.
+    pub fn add(&self, delta: f64) {
+        let mut cur = self.bits.load(Ordering::Relaxed);
+        loop {
+            let next = (f64::from_bits(cur) + delta).to_bits();
+            match self
+                .bits
+                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(now) => cur = now,
+            }
+        }
+        self.touched.store(true, Ordering::Release);
+    }
+
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
@@ -261,6 +279,13 @@ mod tests {
         let g = Gauge::new();
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
+        let shared = Gauge::new();
+        assert!(!shared.is_set());
+        shared.add(3.0);
+        shared.add(4.0);
+        shared.add(-1.0);
+        assert!(shared.is_set());
+        assert_eq!(shared.get(), 6.0);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 use desh::checkpoint::{encode_checkpoint, load_checkpoint, resolve_capsule_checkpoint, Checkpoint};
 use desh::core::{
     config_hash, dataset_fingerprint, render_report, replay_capsule, run_phase1_session,
-    run_phase2_session, Backpressure, BatchDetector, IntakeConfig, IntakeServer, OnlineDetector,
-    ReplayOptions, RunSession, ShadowScorer, Warning,
+    run_phase2_session, Backpressure, IntakeConfig, IntakeServer, OnlineDetector, ReplayOptions,
+    RunSession, ShadowScorer, Warning, DEFAULT_MAX_NODES,
 };
 use desh::obs::{
     default_slo_specs, diff_series, evaluate_gates, install_panic_dump, list_capsules, list_runs,
@@ -586,14 +586,19 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
     );
 
     let cfg = DeshConfig::default();
-    let mut detector =
-        OnlineDetector::with_telemetry(model, Arc::clone(&vocab), cfg.clone(), &telemetry);
+    let mut detector = OnlineDetector::with_telemetry(
+        model,
+        Arc::clone(&vocab),
+        cfg.clone(),
+        DEFAULT_MAX_NODES,
+        &telemetry,
+    );
     if chains.is_empty() {
         println!("note: v1 checkpoint without chains; warnings will not name a matched chain");
     } else {
         detector.attach_chains(&chains);
     }
-    let mut shadow = match &shadow_ck {
+    let shadow_monitor = match &shadow_ck {
         Some((spath, sck)) => {
             let monitor = Arc::new(ShadowMonitor::new(&telemetry, shadow_slack));
             if let Some(path) = opts.get("shadow-ledger") {
@@ -615,9 +620,9 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
             if !sck.chains.is_empty() {
                 candidate.attach_chains(&sck.chains);
             }
-            detector.set_observe_scores(true);
+            detector.attach_shadow(ShadowScorer::new(candidate, Arc::clone(&monitor)));
             println!("shadow scoring armed (warning match slack {shadow_slack:.0}s)");
-            Some(ShadowScorer::new(candidate, monitor))
+            Some(monitor)
         }
         None => None,
     };
@@ -736,8 +741,8 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
             } else {
                 ""
             };
-            let shadow_routes = if let Some(sh) = &shadow {
-                state = state.with_shadow(Arc::clone(sh.monitor()), ShadowThresholds::default());
+            let shadow_routes = if let Some(mon) = &shadow_monitor {
+                state = state.with_shadow(Arc::clone(mon), ShadowThresholds::default());
                 " /shadow /shadow/report"
             } else {
                 ""
@@ -758,12 +763,10 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
     let stream_span = telemetry.span("stream");
     for (i, r) in records.iter().enumerate() {
         let fired = detector.ingest(r);
-        if let Some(sh) = shadow.as_mut() {
-            // Observation only: the candidate scores the same record and
-            // divergence streams into the monitor; `fired` is untouched.
-            if let Some(cw) = sh.observe(r, fired.as_ref(), detector.last_score()) {
-                shadow_warnings.push(cw);
-            }
+        // The attached candidate scored the same record; keep its
+        // warnings to score them against ground truth too.
+        if let Some(cw) = detector.shadow().and_then(|sh| sh.last_warning()) {
+            shadow_warnings.push(cw.clone());
         }
         if let Some(w) = fired {
             println!(
@@ -837,9 +840,9 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
             truth.len()
         );
     }
-    if let Some(sh) = &shadow {
+    if let Some(mon) = &shadow_monitor {
         finish_shadow(
-            sh.monitor(),
+            mon,
             truth
                 .as_deref()
                 .map(|t| (t, &warnings[..], &shadow_warnings[..])),
@@ -953,9 +956,9 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     let cfg = DeshConfig::default();
     let flight = Arc::new(FlightRecorder::new());
     let warning_log = Arc::new(WarningLog::new(WARNING_LOG_CAP));
-    let detectors: Vec<BatchDetector> = (0..shards)
+    let detectors: Vec<OnlineDetector> = (0..shards)
         .map(|_| {
-            let mut d = BatchDetector::with_telemetry(
+            let mut d = OnlineDetector::with_telemetry(
                 ck.model.clone(),
                 Arc::clone(&ck.vocab),
                 cfg.clone(),

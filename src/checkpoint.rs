@@ -17,7 +17,9 @@
 //! provenance, v2 files no provenance.
 //!
 //! Decoding is total: a truncated or corrupt file yields an `Err`, never
-//! a panic or an allocation sized by an unchecked length field.
+//! a panic or an allocation sized by an unchecked length field — nor a
+//! model whose stored `history` would size one at the first prediction
+//! (it must lie in `1..=`[`MAX_HISTORY`]).
 
 use desh_core::{ChainEvent, FailureChain, LeadTimeModel};
 use desh_logparse::Vocab;
@@ -32,6 +34,10 @@ use std::sync::Arc;
 pub const MODEL_MAGIC: [u8; 4] = *b"DSHC";
 /// Current checkpoint format version. This build reads `1..=MODEL_VERSION`.
 pub const MODEL_VERSION: u32 = 3;
+/// Largest prediction window a checkpoint may store. Every prediction
+/// pads its window to `history` samples, so the bound caps that
+/// allocation; trained models use 5 (the paper's Table 5).
+pub const MAX_HISTORY: usize = 1024;
 /// Everything a `.dshm` file holds, decoded.
 #[derive(Debug)]
 pub struct Checkpoint {
@@ -153,7 +159,13 @@ pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
         vocab.intern(&d.string().map_err(|e| e.to_string())?);
     }
     let dt_scale = d.f32().map_err(|e| e.to_string())?;
-    let history = d.u64().map_err(|e| e.to_string())? as usize;
+    let history = d.u64().map_err(|e| e.to_string())?;
+    if !(1..=MAX_HISTORY as u64).contains(&history) {
+        return Err(format!(
+            "corrupt checkpoint: history {history} outside 1..={MAX_HISTORY}"
+        ));
+    }
+    let history = history as usize;
     let net_len = count(&mut d, 1, "network bytes")?;
     let mut net_bytes = vec![0u8; net_len];
     for b in net_bytes.iter_mut() {
@@ -392,6 +404,7 @@ mod tests {
         // docs and in `desh_nn::serialize`).
         let vocab_at = 8;
         let net_len_at = 16 + SMALL_VOCAB.iter().map(|t| 8 + t.len()).sum::<usize>() + 12;
+        let history_at = net_len_at - 8;
         let net_at = net_len_at + 8;
         let dim_at = net_at + 9;
         let layers_at = dim_at + 8;
@@ -401,6 +414,7 @@ mod tests {
         let node_at = chains_at + 8;
         for (at, want) in [
             (vocab_at, 4),
+            (history_at, 5),
             (dim_at, 5),
             (layers_at, 2),
             (rows_at, 5),
@@ -410,8 +424,10 @@ mod tests {
         ] {
             assert_eq!(u64_at(&good, at), want, "layout drifted at byte {at}");
         }
-        let corruptions: [(&str, &[(usize, u64)]); 12] = [
+        let corruptions: [(&str, &[(usize, u64)]); 14] = [
             ("vocabulary count", &[(vocab_at, u64::MAX)]),
+            ("history", &[(history_at, 0)]),
+            ("history", &[(history_at, MAX_HISTORY as u64 + 1)]),
             ("network length", &[(net_len_at, u64::MAX)]),
             ("network length", &[(net_len_at, 1 << 40)]),
             ("sample width", &[(dim_at, 1 << 40)]),

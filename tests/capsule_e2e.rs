@@ -4,7 +4,7 @@
 //! differs, a structured diff naming the first divergent event.
 
 use desh::checkpoint::decode_checkpoint;
-use desh::core::{render_report, replay_capsule, BatchDetector, OnlineDetector, ReplayOptions};
+use desh::core::{render_report, replay_capsule, OnlineDetector, ReplayOptions};
 use desh::obs::{Capsule, CapsuleContext, CapsuleRecorder, CaptureTap};
 use desh::prelude::*;
 use std::path::{Path, PathBuf};
@@ -99,11 +99,12 @@ fn capsule_captured_under_batching_replays_bit_exactly() {
     );
 
     let vocab = trained.parsed_train.vocab.clone();
-    let mut det = BatchDetector::new(
+    let mut det = OnlineDetector::with_telemetry(
         trained.lead_model.clone(),
         Arc::clone(&vocab),
         desh.cfg.clone(),
         64,
+        &Telemetry::disabled(),
     );
     det.attach_chains(&trained.phase1.chains);
     let tap = Arc::new(CaptureTap::with_ring(test.records.len() + 8));

@@ -8,7 +8,7 @@
 //! populate the confusion counters and flip the verdict when thresholds
 //! tighten.
 
-use desh::core::{Desh, DeshConfig, OnlineDetector, ShadowDetector, ShadowScorer};
+use desh::core::{Desh, DeshConfig, OnlineDetector, ShadowScorer};
 use desh::obs::{
     evaluate_gates, load_shadow_ledger, render_shadow_report_json, render_shadow_report_table,
     ShadowIdentity, ShadowLedger, ShadowMonitor, ShadowThresholds, DEFAULT_SHADOW_SLACK_SECS,
@@ -56,7 +56,7 @@ fn run_shadowed(
     candidate_seed: u64,
     path: &PathBuf,
 ) -> Vec<(NodeId, Micros, u64, u64)> {
-    let (primary, test) = trained(primary_seed);
+    let (mut det, test) = trained(primary_seed);
     let (candidate, _) = trained(candidate_seed);
     let telemetry = Telemetry::enabled();
     let monitor = Arc::new(ShadowMonitor::new(&telemetry, DEFAULT_SHADOW_SLACK_SECS));
@@ -68,7 +68,7 @@ fn run_shadowed(
     )
     .unwrap();
     monitor.attach_ledger(ledger);
-    let mut det = ShadowDetector::new(primary, ShadowScorer::new(candidate, Arc::clone(&monitor)));
+    det.attach_shadow(ShadowScorer::new(candidate, Arc::clone(&monitor)));
     let mut fired = Vec::new();
     for r in &test.records {
         if let Some(w) = det.ingest(r) {
@@ -80,7 +80,7 @@ fn run_shadowed(
             ));
         }
     }
-    det.finish();
+    det.shadow().unwrap().finish();
     monitor.write_summary(&monitor.summary()).unwrap();
     fired
 }
