@@ -1,20 +1,19 @@
 //! Fleet-intake throughput check.
 //!
-//! The single-stream detector sustains ~520k events/s on this hardware
-//! (`results/BENCH_fig10.json`): enough headroom for one system, but a
+//! A single-stream detector has enough headroom for one system, but a
 //! fleet intake multiplexing many nodes wants more. This experiment
 //! pushes a full test split through the sharded streaming intake — the
 //! same path `desh-cli serve` runs — where same-tick cell steps from
 //! different nodes fuse into multi-row batches, and compares sustained
-//! throughput against (a) a sequential single-detector replay re-measured
-//! in this same process and (b) the recorded fig10 single-stream figure.
+//! throughput against a sequential single-detector replay measured in
+//! this same process.
 //!
 //! Flags:
 //! * `--smoke` — tiny profile + fast config, for CI gating.
 //! * `--shards <n>` / `--slots <n>` — intake geometry (default 8 × 256).
 //! * `--min-ratio <f>` — exit non-zero unless batched-intake throughput
 //!   is at least `f`× the in-process sequential baseline (the
-//!   perf-regression tripwire; the fig10 ratio is recorded alongside).
+//!   perf-regression tripwire).
 //! * `--json <path>` — write measurements (defaults to
 //!   `results/BENCH_serve.json` in full runs; off in smoke runs).
 
@@ -24,10 +23,6 @@ use desh_loggen::{generate, SystemProfile};
 use desh_obs::Telemetry;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Single-stream detector throughput recorded in BENCH_fig10.json on this
-/// hardware (M1 profile, f32). The fleet-intake acceptance bar is 2× this.
-const FIG10_SINGLE_STREAM_EV_S: f64 = 519_341.6;
 
 struct Args {
     smoke: bool,
@@ -174,7 +169,6 @@ fn main() {
     }
     let intake_tput = events / intake_best;
     let ratio_vs_seq = intake_tput / seq_tput;
-    let ratio_vs_fig10 = intake_tput / FIG10_SINGLE_STREAM_EV_S;
 
     assert_eq!(
         intake_warnings, seq_warnings,
@@ -191,7 +185,6 @@ fn main() {
     println!("  mean wave occupancy : {mean_wave:.1} rows");
     println!("  queue wait p99      : {queue_wait_p99:.0} us (worst shard)");
     println!("  vs in-process seq   : {ratio_vs_seq:.2}x");
-    println!("  vs fig10 single-stream ({FIG10_SINGLE_STREAM_EV_S:.0} ev/s): {ratio_vs_fig10:.2}x");
 
     if let Some(path) = &args.json {
         let body = format!(
@@ -210,8 +203,6 @@ fn main() {
                 "  \"mean_wave_rows\": {:.1},\n",
                 "  \"queue_wait_p99_us\": {:.1},\n",
                 "  \"ratio_vs_sequential\": {:.2},\n",
-                "  \"fig10_single_stream_events_per_s\": {:.1},\n",
-                "  \"ratio_vs_fig10\": {:.2},\n",
                 "  \"dropped\": 0\n",
                 "}}\n"
             ),
@@ -227,8 +218,6 @@ fn main() {
             mean_wave,
             queue_wait_p99,
             ratio_vs_seq,
-            FIG10_SINGLE_STREAM_EV_S,
-            ratio_vs_fig10,
         );
         if let Some(dir) = std::path::Path::new(path).parent() {
             let _ = std::fs::create_dir_all(dir);

@@ -58,11 +58,11 @@ pub fn classify_chain(chain: &FailureChain, parsed: &ParsedLog) -> FailureClass 
 /// many MCE/Trap chains and must not swallow chains with more specific
 /// evidence, so Panic votes also count one less when any other class has
 /// evidence.
-pub fn classify_templates(templates: impl IntoIterator<Item = String>) -> FailureClass {
+pub fn classify_templates<S: AsRef<str>>(templates: impl IntoIterator<Item = S>) -> FailureClass {
     let mut votes = [0usize; 6];
     for template in templates {
         for (kw, class) in KEYWORDS {
-            if template.contains(kw) {
+            if template.as_ref().contains(kw) {
                 let idx = FailureClass::ALL.iter().position(|c| c == class).unwrap();
                 votes[idx] += 1;
             }

@@ -40,7 +40,7 @@ pub use classes::{classify_chain, classify_templates};
 pub use config::{DeshConfig, EpisodeConfig, Phase1Config, Phase2Config, Phase3Config};
 pub use crossval::{stability_run, StabilityReport};
 pub use episode::{extract_episodes, Episode};
-pub use explain::{dtw_distance, explain_episode, nearest_chain, Explanation};
+pub use explain::{explain_episode, ChainMatcher, DtwTables, Explanation};
 pub use intake::{Backpressure, IntakeConfig, IntakeServer};
 pub use leadtime::{
     lead_by_class, lead_overall, observation4, recall_by_class, sensitivity_sweep, SweepPoint,
@@ -50,7 +50,7 @@ pub use observe::{warning_record, EpochTelemetry};
 pub use online::{BatchDetector, OnlineDetector, Warning, DEFAULT_MAX_NODES};
 pub use phase1::{run_phase1, run_phase1_session, run_phase1_telemetry, Phase1Output};
 pub use phase2::{
-    chain_to_vectors, run_phase2, run_phase2_session, run_phase2_telemetry, LeadTimeModel,
+    chain_to_vectors, run_phase2, run_phase2_session, run_phase2_telemetry, LeadTimeModel, Sample,
 };
 pub use phase3::{
     maintenance_windows, run_phase3, run_phase3_profiled, run_phase3_telemetry, Phase3Output,

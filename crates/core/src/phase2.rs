@@ -22,7 +22,7 @@ use crate::chain::FailureChain;
 use crate::config::Phase2Config;
 use crate::observe::EpochTelemetry;
 use crate::session::RunSession;
-use desh_nn::{Optimizer, RmsProp, TrainConfig, VectorLstm, VectorStreamBatch};
+use desh_nn::{Optimizer, RmsProp, ScoreWorkspace, TrainConfig, VectorLstm, VectorStreamBatch};
 use desh_obs::{DivergenceRecord, Telemetry};
 use desh_util::{Micros, Xoshiro256pp};
 
@@ -46,6 +46,24 @@ impl LeadTimeModel {
     /// Encode one (ΔT seconds, phrase id) sample.
     pub fn vectorize(&self, delta_t_secs: f64, phrase: u32) -> Vec<f32> {
         vectorize(delta_t_secs, phrase, self.dt_scale, self.vocab_size)
+    }
+
+    /// Encode one (ΔT seconds, phrase id) sample in sample form.
+    pub fn sample(&self, delta_t_secs: f64, phrase: u32) -> Sample {
+        Sample::new(delta_t_secs, phrase, self.dt_scale, self.vocab_size)
+    }
+
+    /// The model's expected remaining lead time, in seconds, after the
+    /// countdown-encoded `window` (oldest first): channel 0 of
+    /// `predict_next` over the last `history` samples, computed in the
+    /// caller-held workspace.
+    pub fn predict_lead_secs(&self, window: &[Sample], sw: &mut ScoreWorkspace) -> f64 {
+        let next = self
+            .net
+            .predict_next_ws(window.len(), self.history, sw, |k, row| {
+                window[k].write_into(row)
+            });
+        self.denormalize_dt(next[0])
     }
 
     /// Recover seconds from the ΔT channel of a model output.
@@ -88,12 +106,8 @@ impl LeadTimeModel {
             None => 0.0,
         };
         agg.last_time = Some(time);
-        // Bit-identical to `vectorize`, written into the resident row.
-        let row = lb.net.input_row_mut(slot);
-        row.fill(0.0);
-        row[0] = (gap_secs as f32 / self.dt_scale).min(4.0);
-        let idx = (phrase as usize).min(self.vocab_size.saturating_sub(1));
-        row[1 + idx] = 1.0;
+        self.sample(gap_secs, phrase)
+            .write_into(lb.net.input_row_mut(slot));
     }
 
     /// Advance every staged slot in `rows` by one cell step per layer and
@@ -185,12 +199,40 @@ impl LeadBatch {
     }
 }
 
+/// One (ΔT, phrase) sample as the model sees it, without the one-hot
+/// block: the scaled ΔT channel (clamped at 4.0) and the phrase id
+/// clamped into the vocabulary. [`Sample::write_into`] expands it to the
+/// `vocab + 1`-wide vector the network reads.
+#[derive(Debug, Clone, Copy)]
+pub struct Sample {
+    /// ΔT channel: seconds ÷ `dt_scale`, at most 4.0.
+    pub dt: f32,
+    /// Phrase id, at most `vocab - 1`: its one-hot position.
+    pub phrase: u32,
+}
+
+impl Sample {
+    /// Encode (ΔT seconds, phrase id) for a model with this scale and
+    /// vocabulary.
+    pub fn new(delta_t_secs: f64, phrase: u32, dt_scale: f32, vocab: usize) -> Self {
+        Self {
+            dt: (delta_t_secs as f32 / dt_scale).min(4.0),
+            phrase: (phrase as usize).min(vocab.saturating_sub(1)) as u32,
+        }
+    }
+
+    /// Overwrite `row` (`vocab + 1` wide) with the one-hot vector form.
+    pub fn write_into(self, row: &mut [f32]) {
+        row.fill(0.0);
+        row[0] = self.dt;
+        row[1 + self.phrase as usize] = 1.0;
+    }
+}
+
 /// Encode one sample: ΔT channel followed by a one-hot phrase block.
 pub fn vectorize(delta_t_secs: f64, phrase: u32, dt_scale: f32, vocab: usize) -> Vec<f32> {
     let mut v = vec![0.0f32; vocab + 1];
-    v[0] = (delta_t_secs as f32 / dt_scale).min(4.0);
-    let idx = (phrase as usize).min(vocab.saturating_sub(1));
-    v[1 + idx] = 1.0;
+    Sample::new(delta_t_secs, phrase, dt_scale, vocab).write_into(&mut v);
     v
 }
 

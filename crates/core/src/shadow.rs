@@ -182,9 +182,7 @@ mod tests {
         let snap = t.snapshot().unwrap();
         for (name, h) in &snap.hists {
             if name.starts_with("shadow.lead_delta_secs[") {
-                // `max()` is the exclusive upper bound of the highest
-                // occupied bucket, so all-zero deltas read back as 1.
-                assert!(h.max() <= 1, "nonzero delta in {name}: max {}", h.max());
+                assert_eq!(h.max(), 0, "nonzero delta in {name}");
                 assert_eq!(h.sum(), 0, "nonzero delta sum in {name}");
             }
         }

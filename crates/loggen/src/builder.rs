@@ -133,7 +133,10 @@ impl CustomScenario {
             }
         }
         events.push((0.0, self.terminal));
-        ChainInstance { class: crate::scenario::FailureClass::Panic, events }
+        ChainInstance {
+            class: crate::scenario::FailureClass::Panic,
+            events,
+        }
     }
 }
 
@@ -172,8 +175,10 @@ mod tests {
     fn lead_distribution_matches_spec() {
         let sc = gpu_scenario();
         let mut rng = Xoshiro256pp::seed_from_u64(2);
-        let mean: f64 =
-            (0..400).map(|_| sc.sample(&mut rng).lead_secs()).sum::<f64>() / 400.0;
+        let mean: f64 = (0..400)
+            .map(|_| sc.sample(&mut rng).lead_secs())
+            .sum::<f64>()
+            / 400.0;
         assert!((mean - 200.0).abs() < 25.0, "mean {mean}");
     }
 
@@ -226,7 +231,11 @@ pub fn synthesize(
             let t = terminal.saturating_sub(Micros::from_secs_f64(*before_secs));
             records.push(LogRecord::new(t, node, phrase.render(&mut rng)));
         }
-        truth.push(GroundTruthFailure { node, time: terminal, class: chain.class });
+        truth.push(GroundTruthFailure {
+            node,
+            time: terminal,
+            class: chain.class,
+        });
     }
 
     // Routine noise, same cycles as the main generator.

@@ -63,13 +63,20 @@ impl Dataset {
             system: format!("{}/{tag}", self.system),
             nodes: self.nodes,
             duration: self.duration,
-            records: self.records.iter().filter(|r| keep(r.time)).cloned().collect(),
-            failures: self.failures.iter().filter(|f| keep(f.time)).copied().collect(),
+            records: self
+                .records
+                .iter()
+                .filter(|r| keep(r.time))
+                .cloned()
+                .collect(),
+            failures: self
+                .failures
+                .iter()
+                .filter(|f| keep(f.time))
+                .copied()
+                .collect(),
         };
-        (
-            part(&|t| t < cut, "train"),
-            part(&|t| t >= cut, "test"),
-        )
+        (part(&|t| t < cut, "train"), part(&|t| t >= cut, "test"))
     }
 
     /// All records as raw text lines (what a real deployment would ingest).
@@ -148,7 +155,8 @@ pub fn generate(profile: &SystemProfile, seed: u64) -> Dataset {
             let node = match last_cabinet {
                 Some(cab)
                     if profile.cabinet_correlation > 0.0
-                        && rng.chance(profile.cabinet_correlation) => {
+                        && rng.chance(profile.cabinet_correlation) =>
+                {
                     let peers: Vec<NodeId> = cluster
                         .nodes()
                         .iter()
@@ -181,7 +189,11 @@ pub fn generate(profile: &SystemProfile, seed: u64) -> Dataset {
                 *in_chain.entry(*phrase).or_default() += 1;
             }
         }
-        failures.push(GroundTruthFailure { node, time: terminal, class });
+        failures.push(GroundTruthFailure {
+            node,
+            time: terminal,
+            class,
+        });
     }
 
     // --- 2. Near misses ----------------------------------------------------
@@ -243,7 +255,11 @@ pub fn generate(profile: &SystemProfile, seed: u64) -> Dataset {
                 pos = (pos + 1) % cycle.len();
                 p
             };
-            records.push(LogRecord::new(Micros(t as u64), *node, phrase.render(&mut rng)));
+            records.push(LogRecord::new(
+                Micros(t as u64),
+                *node,
+                phrase.render(&mut rng),
+            ));
             t += rng.exponential(rate_per_us);
         }
     }
@@ -367,8 +383,14 @@ mod tests {
         let d = generate(&p, 4);
         assert!(d.failures.is_empty());
         // Maintenance leaves System: halted lines but no anomalous terminals.
-        assert!(d.records.iter().any(|r| r.text.starts_with("System: halted")));
-        assert!(!d.records.iter().any(|r| r.text.starts_with("cb_node_unavailable")));
+        assert!(d
+            .records
+            .iter()
+            .any(|r| r.text.starts_with("System: halted")));
+        assert!(!d
+            .records
+            .iter()
+            .any(|r| r.text.starts_with("cb_node_unavailable")));
     }
 
     #[test]
@@ -381,7 +403,11 @@ mod tests {
                 Phrase::ALL.iter().any(|p| {
                     p.label() == Label::Safe
                         && r.text.starts_with(
-                            &p.spec().template[..p.spec().template.find("{}").unwrap_or(p.spec().template.len())],
+                            &p.spec().template[..p
+                                .spec()
+                                .template
+                                .find("{}")
+                                .unwrap_or(p.spec().template.len())],
                         )
                 })
             })

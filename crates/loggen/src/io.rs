@@ -94,11 +94,17 @@ pub fn read_truth_file(path: &Path) -> std::io::Result<Vec<GroundTruthFailure>> 
             continue;
         };
         let Ok(time) = t.parse::<u64>() else { continue };
-        let Ok(node) = n.parse::<NodeId>() else { continue };
+        let Ok(node) = n.parse::<NodeId>() else {
+            continue;
+        };
         let Some(class) = FailureClass::ALL.iter().find(|fc| fc.name() == c) else {
             continue;
         };
-        out.push(GroundTruthFailure { node, time: Micros(time), class: *class });
+        out.push(GroundTruthFailure {
+            node,
+            time: Micros(time),
+            class: *class,
+        });
     }
     Ok(out)
 }
@@ -138,7 +144,10 @@ mod tests {
         write_log_file(&path, &d).unwrap();
         // Append junk.
         use std::io::Write;
-        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
         writeln!(f, "@@@ totally not a log line").unwrap();
         writeln!(f, "another bad one").unwrap();
         drop(f);

@@ -44,10 +44,19 @@ pub struct NodeId {
 impl NodeId {
     /// Construct, validating topology bounds.
     pub fn new(cab_x: u8, cab_y: u8, chassis: u8, slot: u8, node: u8) -> Self {
-        assert!(chassis < CHASSIS_PER_CABINET, "chassis {chassis} out of range");
+        assert!(
+            chassis < CHASSIS_PER_CABINET,
+            "chassis {chassis} out of range"
+        );
         assert!(slot < SLOTS_PER_CHASSIS, "slot {slot} out of range");
         assert!(node < NODES_PER_SLOT, "node {node} out of range");
-        Self { cab_x, cab_y, chassis, slot, node }
+        Self {
+            cab_x,
+            cab_y,
+            chassis,
+            slot,
+            node,
+        }
     }
 
     /// Largest dense index addressable in a single cabinet row
@@ -57,7 +66,10 @@ impl NodeId {
     /// The `idx`-th node of a cluster laid out cabinet-by-cabinet in a
     /// single row of cabinets.
     pub fn from_index(idx: usize) -> Self {
-        assert!(idx < Self::MAX_INDEX, "node index {idx} exceeds a cabinet row");
+        assert!(
+            idx < Self::MAX_INDEX,
+            "node index {idx} exceeds a cabinet row"
+        );
         let cab = idx / NODES_PER_CABINET;
         let within = idx % NODES_PER_CABINET;
         let per_chassis = SLOTS_PER_CHASSIS as usize * NODES_PER_SLOT as usize;
@@ -130,7 +142,13 @@ impl FromStr for NodeId {
         if chassis >= CHASSIS_PER_CABINET || slot >= SLOTS_PER_CHASSIS || node >= NODES_PER_SLOT {
             return Err(err());
         }
-        Ok(NodeId { cab_x, cab_y, chassis, slot, node })
+        Ok(NodeId {
+            cab_x,
+            cab_y,
+            chassis,
+            slot,
+            node,
+        })
     }
 }
 
@@ -144,7 +162,9 @@ impl Cluster {
     /// Cluster of `n` nodes packed into cabinets.
     pub fn with_nodes(n: usize) -> Self {
         assert!(n > 0);
-        Self { nodes: (0..n).map(NodeId::from_index).collect() }
+        Self {
+            nodes: (0..n).map(NodeId::from_index).collect(),
+        }
     }
 
     /// Number of nodes.
@@ -197,7 +217,15 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        for bad in ["", "c1-0", "x1-0c1s1n0", "c1-0c9s1n0", "c1-0c1s99n0", "c1-0c1s1n9", "c1-0c1s1n"] {
+        for bad in [
+            "",
+            "c1-0",
+            "x1-0c1s1n0",
+            "c1-0c9s1n0",
+            "c1-0c1s99n0",
+            "c1-0c1s1n9",
+            "c1-0c1s1n",
+        ] {
             assert!(bad.parse::<NodeId>().is_err(), "{bad} should fail");
         }
     }

@@ -250,7 +250,11 @@ mod tests {
     fn catalog_names_are_unique() {
         let mut names = std::collections::HashSet::new();
         for p in Phrase::ALL {
-            assert!(names.insert(p.spec().name), "duplicate name {}", p.spec().name);
+            assert!(
+                names.insert(p.spec().name),
+                "duplicate name {}",
+                p.spec().name
+            );
         }
         assert!(Phrase::ALL.len() >= 40, "catalog unexpectedly small");
     }
@@ -284,7 +288,10 @@ mod tests {
         let safe = Phrase::ALL.iter().filter(|p| p.label() == Safe).count();
         let unknown = Phrase::ALL.iter().filter(|p| p.label() == Unknown).count();
         let error = Phrase::ALL.iter().filter(|p| p.label() == Error).count();
-        assert!(safe >= 10 && unknown >= 20 && error >= 8, "{safe}/{unknown}/{error}");
+        assert!(
+            safe >= 10 && unknown >= 20 && error >= 8,
+            "{safe}/{unknown}/{error}"
+        );
     }
 
     #[test]

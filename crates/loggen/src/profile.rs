@@ -198,12 +198,21 @@ mod tests {
     #[test]
     fn m2_is_hardware_and_fs_heavy() {
         let m2 = SystemProfile::m2();
-        let hw_fs = m2.class_weight(FailureClass::Hardware) + m2.class_weight(FailureClass::FileSystem);
+        let hw_fs =
+            m2.class_weight(FailureClass::Hardware) + m2.class_weight(FailureClass::FileSystem);
         let panic = m2.class_weight(FailureClass::Panic);
-        for other in [SystemProfile::m1(), SystemProfile::m3(), SystemProfile::m4()] {
+        for other in [
+            SystemProfile::m1(),
+            SystemProfile::m3(),
+            SystemProfile::m4(),
+        ] {
             let o_hw_fs = other.class_weight(FailureClass::Hardware)
                 + other.class_weight(FailureClass::FileSystem);
-            assert!(hw_fs > o_hw_fs, "M2 should lead in H/W+FS vs {}", other.name);
+            assert!(
+                hw_fs > o_hw_fs,
+                "M2 should lead in H/W+FS vs {}",
+                other.name
+            );
             assert!(panic < other.class_weight(FailureClass::Panic));
         }
     }

@@ -24,7 +24,11 @@ pub struct LogRecord {
 impl LogRecord {
     /// Construct a record.
     pub fn new(time: Micros, node: NodeId, text: impl Into<String>) -> Self {
-        Self { time, node, text: text.into() }
+        Self {
+            time,
+            node,
+            text: text.into(),
+        }
     }
 
     /// Render as a raw syslog-style line.

@@ -468,7 +468,10 @@ pub fn sample_near_miss_with(
             events[k].0 = max_allowed.max(0.1);
         }
     }
-    NearMissInstance { name: spec.name, events }
+    NearMissInstance {
+        name: spec.name,
+        events,
+    }
 }
 
 /// Routine background cycles: the stereotyped benign sequences (health
@@ -550,7 +553,11 @@ mod tests {
                 assert!(c.events.len() >= 3, "{class:?} chain too short");
                 // Strictly decreasing offsets, terminal at zero.
                 for w in c.events.windows(2) {
-                    assert!(w[0].0 > w[1].0, "{class:?}: offsets not decreasing: {:?}", c.events);
+                    assert!(
+                        w[0].0 > w[1].0,
+                        "{class:?}: offsets not decreasing: {:?}",
+                        c.events
+                    );
                 }
                 assert_eq!(c.events.last().unwrap().0, 0.0);
                 assert!(c.events.last().unwrap().1.is_failure_terminal());
@@ -577,7 +584,10 @@ mod tests {
     #[test]
     fn class_ordering_matches_paper() {
         // Panic shortest, MCE longest (Table 7 / Figure 6).
-        let leads: Vec<f64> = FailureClass::ALL.iter().map(|c| c.paper_lead_secs()).collect();
+        let leads: Vec<f64> = FailureClass::ALL
+            .iter()
+            .map(|c| c.paper_lead_secs())
+            .collect();
         let panic = FailureClass::Panic.paper_lead_secs();
         let mce = FailureClass::Mce.paper_lead_secs();
         assert!(leads.iter().all(|&l| l >= panic));
@@ -591,7 +601,11 @@ mod tests {
             let nm = sample_near_miss(&mut rng);
             assert!(!nm.events.is_empty());
             for (_, p) in &nm.events {
-                assert!(!p.is_failure_terminal(), "{}: terminal in near miss", nm.name);
+                assert!(
+                    !p.is_failure_terminal(),
+                    "{}: terminal in near miss",
+                    nm.name
+                );
             }
             for w in nm.events.windows(2) {
                 assert!(w[0].0 > w[1].0, "offsets not decreasing");
@@ -609,7 +623,11 @@ mod tests {
             .flat_map(|s| s.steps.iter().map(|st| st.phrase))
             .collect();
         for nm in &NEAR_MISSES {
-            let overlap = nm.steps.iter().filter(|s| chain_phrases.contains(&s.phrase)).count();
+            let overlap = nm
+                .steps
+                .iter()
+                .filter(|s| chain_phrases.contains(&s.phrase))
+                .count();
             assert!(overlap >= 1, "{} shares no phrases with any chain", nm.name);
         }
     }

@@ -72,16 +72,28 @@ mod tests {
     fn table3_examples() {
         assert_eq!(label_template("Wait4Boot"), Label::Safe);
         assert_eq!(label_template("cpu * apic_timer_irqs"), Label::Safe);
-        assert_eq!(label_template("LNet: No gnilnd traffic received from *"), Label::Unknown);
-        assert_eq!(label_template("PCIe Bus Error: severity=Corrected, type=Physical Layer *"), Label::Unknown);
+        assert_eq!(
+            label_template("LNet: No gnilnd traffic received from *"),
+            Label::Unknown
+        );
+        assert_eq!(
+            label_template("PCIe Bus Error: severity=Corrected, type=Physical Layer *"),
+            Label::Unknown
+        );
         assert_eq!(label_template("WARNING: Node * is down"), Label::Error);
-        assert_eq!(label_template("Kernel panic - not syncing: *"), Label::Error);
+        assert_eq!(
+            label_template("Kernel panic - not syncing: *"),
+            Label::Error
+        );
         assert_eq!(label_template("Debug NMI detected *"), Label::Error);
     }
 
     #[test]
     fn default_is_unknown() {
-        assert_eq!(label_template("some entirely novel message *"), Label::Unknown);
+        assert_eq!(
+            label_template("some entirely novel message *"),
+            Label::Unknown
+        );
         assert_eq!(label_template(""), Label::Unknown);
     }
 
@@ -94,13 +106,9 @@ mod tests {
             let template = spec.static_form();
             let got = label_template(&template);
             assert_eq!(
-                got,
-                spec.label,
+                got, spec.label,
                 "{}: template {:?} labelled {:?}, catalog says {:?}",
-                spec.name,
-                template,
-                got,
-                spec.label
+                spec.name, template, got, spec.label
             );
         }
     }

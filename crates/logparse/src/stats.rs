@@ -37,7 +37,11 @@ pub fn template_frequencies(parsed: &ParsedLog) -> Vec<TemplateFreq> {
             count,
         })
         .collect();
-    out.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.template.cmp(&b.template)));
+    out.sort_by(|a, b| {
+        b.count
+            .cmp(&a.count)
+            .then_with(|| a.template.cmp(&b.template))
+    });
     out
 }
 
@@ -67,7 +71,11 @@ pub fn node_activity(parsed: &ParsedLog) -> Vec<NodeActivity> {
                 .count() as u64,
         })
         .collect();
-    out.sort_by(|a, b| b.anomalies.cmp(&a.anomalies).then_with(|| a.node.cmp(&b.node)));
+    out.sort_by(|a, b| {
+        b.anomalies
+            .cmp(&a.anomalies)
+            .then_with(|| a.node.cmp(&b.node))
+    });
     out
 }
 

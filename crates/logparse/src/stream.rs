@@ -111,13 +111,22 @@ pub fn parse_records_telemetry(
         // assigned first-come, and cross-thread arrival order would make
         // the numbering — and everything trained on it — depend on
         // scheduling. Thread count must never change numerics.
-        let templates: Vec<String> = records.par_iter().map(|r| extract_template(&r.text)).collect();
+        let templates: Vec<String> = records
+            .par_iter()
+            .map(|r| extract_template(&r.text))
+            .collect();
         records
             .iter()
             .zip(&templates)
             .map(|(r, template)| {
                 let id = vocab.intern(template);
-                (r.node, Event { time: r.time, phrase: id })
+                (
+                    r.node,
+                    Event {
+                        time: r.time,
+                        phrase: id,
+                    },
+                )
             })
             .collect()
     });
@@ -150,7 +159,11 @@ pub fn parse_records_telemetry(
         let total: u64 = per_node.values().map(|v| v.len() as u64).sum();
         telemetry.gauge_set(
             "logparse.unknown_rate",
-            if total == 0 { 0.0 } else { unknown as f64 / total as f64 },
+            if total == 0 {
+                0.0
+            } else {
+                unknown as f64 / total as f64
+            },
         );
         // Events landing at ids >= the pre-parse vocabulary size hit
         // templates the existing (trained) vocabulary did not cover.
@@ -162,10 +175,18 @@ pub fn parse_records_telemetry(
         telemetry.count("logparse.template_miss_events", misses);
         telemetry.gauge_set(
             "logparse.template_miss_rate",
-            if total == 0 { 0.0 } else { misses as f64 / total as f64 },
+            if total == 0 {
+                0.0
+            } else {
+                misses as f64 / total as f64
+            },
         );
     }
-    ParsedLog { vocab, labels, per_node }
+    ParsedLog {
+        vocab,
+        labels,
+        per_node,
+    }
 }
 
 /// Parse raw text lines. Lines that fail to parse are returned alongside
@@ -212,7 +233,11 @@ mod tests {
             "vocab exploded: {} templates",
             parsed.vocab_size()
         );
-        assert!(parsed.vocab_size() >= 30, "vocab too small: {}", parsed.vocab_size());
+        assert!(
+            parsed.vocab_size() >= 30,
+            "vocab too small: {}",
+            parsed.vocab_size()
+        );
     }
 
     #[test]
@@ -264,13 +289,19 @@ mod tests {
         let t = Telemetry::enabled();
         let parsed = parse_records_telemetry(&d.records, Arc::new(Vocab::new()), &t);
         let snap = t.snapshot().unwrap();
-        assert_eq!(snap.counter("logparse.records"), Some(d.records.len() as u64));
+        assert_eq!(
+            snap.counter("logparse.records"),
+            Some(d.records.len() as u64)
+        );
         assert_eq!(
             snap.counter("logparse.templates_new"),
             Some(parsed.vocab_size() as u64),
             "fresh vocab: every template is new"
         );
-        assert_eq!(snap.gauge("logparse.templates"), Some(parsed.vocab_size() as f64));
+        assert_eq!(
+            snap.gauge("logparse.templates"),
+            Some(parsed.vocab_size() as f64)
+        );
         let rate = snap.gauge("logparse.unknown_rate").unwrap();
         assert!((0.0..=1.0).contains(&rate), "unknown rate {rate}");
         // Parse wall time was recorded under the span histogram, and each

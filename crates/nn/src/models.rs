@@ -503,20 +503,6 @@ impl VectorLstm {
         Some(self)
     }
 
-    /// Left-pad a window to `history` samples with zero vectors; failure
-    /// chains can be shorter than the history size.
-    fn window_mats(&self, window: &[&[f32]], history: usize) -> Vec<Mat> {
-        let pad = history.saturating_sub(window.len());
-        let mut xs = Vec::with_capacity(history);
-        for _ in 0..pad {
-            xs.push(Mat::zeros(1, self.dim));
-        }
-        for w in window.iter().skip(window.len().saturating_sub(history)) {
-            xs.push(Mat::from_vec(1, self.dim, w.to_vec()));
-        }
-        xs
-    }
-
     /// Enumerate (sequence, target position) training windows. Unlike the
     /// token model we allow short prefixes (zero-padded) because failure
     /// chains are often shorter than history+1.
@@ -722,9 +708,41 @@ impl VectorLstm {
 
     /// Predict the next sample from a context window.
     pub fn predict_next(&self, window: &[&[f32]], history: usize) -> Vec<f32> {
-        assert!(!window.is_empty());
-        let xs = self.window_mats(window, history);
-        self.net.infer(&xs).row(0).to_vec()
+        let mut sw = self.workspace();
+        self.predict_next_ws(window.len(), history, &mut sw, |k, row| {
+            row.copy_from_slice(window[k])
+        })
+        .to_vec()
+    }
+
+    /// [`VectorLstm::predict_next`] over a window of `len` samples that
+    /// `stage(k, row)` writes, oldest first, straight into the
+    /// workspace's input row (overwriting all of it). Only the last
+    /// `history` samples are staged; a shorter window is left
+    /// zero-padded, as failure chains can be shorter than the history.
+    /// Returns the head output, borrowed from the workspace.
+    pub fn predict_next_ws<'w>(
+        &self,
+        len: usize,
+        history: usize,
+        sw: &'w mut ScoreWorkspace,
+        mut stage: impl FnMut(usize, &mut [f32]),
+    ) -> &'w [f32] {
+        assert!(len > 0 && history > 0);
+        for st in &mut sw.states {
+            st.clear();
+        }
+        sw.x.clear();
+        for _ in len..history {
+            self.net.step_layers(&sw.x, &mut sw.states, &mut sw.ws);
+        }
+        for k in len.saturating_sub(history)..len {
+            stage(k, sw.x.row_mut(0));
+            self.net.step_layers(&sw.x, &mut sw.states, &mut sw.ws);
+        }
+        let top = &sw.states[sw.states.len() - 1].h;
+        self.net.head.infer_into(top, &mut sw.y);
+        sw.y.row(0)
     }
 
     /// Fresh reusable workspace for the windowed scoring path.
@@ -1230,6 +1248,43 @@ mod tests {
         let cfg = TrainConfig::default();
         let mut opt = RmsProp::new(0.01);
         m.train(&[vec![vec![1.0, 2.0, 3.0]]], &cfg, &mut opt, &mut rng);
+    }
+
+    #[test]
+    fn predict_next_ws_bit_identical_to_padded_infer() {
+        // The staged workspace path against `StackedLstm::infer` over
+        // freshly built zero-padded window mats, for windows shorter than,
+        // equal to and longer than the history, one workspace throughout.
+        let mut rng = Xoshiro256pp::seed_from_u64(12);
+        let m = VectorLstm::new(3, 8, 2, &mut rng);
+        let seq: Vec<Vec<f32>> = (0..9)
+            .map(|_| (0..3).map(|_| rng.f32() * 2.0 - 1.0).collect())
+            .collect();
+        let history = 5;
+        let mut sw = m.workspace();
+        for len in 1..=seq.len() {
+            let window = &seq[..len];
+            let xs: Vec<Mat> = (len..history)
+                .map(|_| Mat::zeros(1, 3))
+                .chain(
+                    window[len.saturating_sub(history)..]
+                        .iter()
+                        .map(|v| Mat::from_vec(1, 3, v.clone())),
+                )
+                .collect();
+            let want: Vec<u32> = m
+                .net
+                .infer(&xs)
+                .row(0)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let got = m.predict_next_ws(len, history, &mut sw, |k, row| {
+                row.copy_from_slice(&window[k])
+            });
+            let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "window of {len}");
+        }
     }
 
     #[test]

@@ -199,16 +199,21 @@ impl LatencySnapshot {
             .map_or(0, |i| bucket_bounds(i).0)
     }
 
-    /// Largest recorded value's bucket upper bound (exclusive).
+    /// Largest recorded value: exact below 16, where buckets hold one
+    /// value each; above, its bucket's upper bound (exclusive).
     pub fn max(&self) -> u64 {
         self.buckets
             .iter()
             .rposition(|&c| c > 0)
-            .map_or(0, |i| bucket_bounds(i).1)
+            .map_or(0, |i| match bucket_bounds(i) {
+                (lo, hi) if hi - lo == 1 => lo,
+                (_, hi) => hi,
+            })
     }
 
-    /// Estimate the `q`-quantile (`0.0..=1.0`) in the recorded unit, with
-    /// linear interpolation inside the containing bucket.
+    /// Estimate the `q`-quantile (`0.0..=1.0`) in the recorded unit: exact
+    /// below 16, with linear interpolation inside the containing bucket
+    /// above.
     pub fn quantile(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
         let total = self.count();
@@ -220,6 +225,9 @@ impl LatencySnapshot {
         for (i, &c) in self.buckets.iter().enumerate() {
             if c > 0 && rank <= seen + c {
                 let (lo, hi) = bucket_bounds(i);
+                if hi - lo == 1 {
+                    return lo as f64;
+                }
                 // Midpoint interpolation, matching desh_util::Histogram.
                 let frac = ((rank - seen) as f64 - 0.5) / c as f64;
                 return lo as f64 + (hi - lo) as f64 * frac;
@@ -294,6 +302,39 @@ mod tests {
             let (lo, hi) = bucket_bounds(bucket_index(v));
             assert_eq!((lo, hi), (v, v + 1));
         }
+    }
+
+    #[test]
+    fn small_values_report_exact_quantiles_and_max() {
+        // 4,854 samples that are all 1 (one wave width per event) read
+        // back as 1 at every quantile and as the max.
+        let h = LatencyHistogram::new();
+        for _ in 0..4854 {
+            h.record(1);
+        }
+        let s = h.snapshot();
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(s.quantile(q), 1.0, "q {q}");
+        }
+        assert_eq!((s.min(), s.max()), (1, 1));
+        // A single sample is its own median.
+        let h = LatencyHistogram::new();
+        h.record(7);
+        let s = h.snapshot();
+        assert_eq!((s.quantile(0.5), s.max()), (7.0, 7));
+        // Mixed small values keep exact order statistics.
+        let h = LatencyHistogram::new();
+        for v in [0u64, 3, 3, 15] {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        assert_eq!(s.quantile(0.0), 0.0);
+        assert_eq!(s.quantile(0.5), 3.0);
+        assert_eq!(s.quantile(1.0), 15.0);
+        assert_eq!(s.max(), 15);
+        // From 16 up, the max stays its bucket's exclusive upper bound.
+        h.record(16);
+        assert_eq!(h.snapshot().max(), bucket_bounds(bucket_index(16)).1);
     }
 
     #[test]
